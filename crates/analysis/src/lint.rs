@@ -29,10 +29,7 @@ const SPAWN_ALLOWLIST: &[&str] = &["crates/runtime/src/pool.rs"];
 /// index is a *physical* position, so "obvious" logical indexing is
 /// silently wrong. All other code goes through `TaskCtx`
 /// read/write/lock (or `lock_of` for lock addressing).
-const SLOT_PTR_ALLOWLIST: &[&str] = &[
-    "crates/runtime/src/store.rs",
-    "crates/runtime/src/task.rs",
-];
+const SLOT_PTR_ALLOWLIST: &[&str] = &["crates/runtime/src/store.rs", "crates/runtime/src/task.rs"];
 
 /// Round-critical files in which `Instant::now` is banned.
 ///
@@ -63,7 +60,6 @@ pub const UNWRAP_BANLIST: &[&str] = &[
     "crates/runtime/src/store.rs",
     "crates/runtime/src/exec.rs",
     "crates/runtime/src/pool.rs",
-    "crates/runtime/src/continuous.rs",
     "crates/runtime/src/faults.rs",
     "crates/runtime/src/pipelined.rs",
     // A panicking service lane would take its clients' reports down
@@ -427,7 +423,7 @@ mod tests {
                        let _r = recover(shared.cv.wait_timeout(st, d));\n\
                    }\n";
         assert_eq!(
-            rules_of(&lint_source("crates/runtime/src/continuous.rs", src)),
+            rules_of(&lint_source("crates/runtime/src/pipelined.rs", src)),
             vec!["bare-condvar-wait"]
         );
     }

@@ -1,28 +1,32 @@
-//! **TAB-CONT** (ablation) — round-synchronous vs continuous execution:
-//! how much of the measured conflict ratio comes from the model's
-//! round co-residency (committed tasks blocking the rest of the round)
-//! versus genuine temporal overlap.
+//! **TAB-CONT** (ablation) — round-synchronous vs barrier-free
+//! execution: how much of the measured conflict ratio comes from the
+//! model's round co-residency (committed tasks blocking the rest of
+//! the round) versus genuine temporal overlap.
 //!
-//! Round mode realizes the paper's `r̄(m)` exactly; continuous mode
-//! keeps a budget of `m` tasks in flight and releases locks at commit,
-//! so its conflict ratio at the same `m` is lower and the adaptive
-//! controller consequently sustains a *larger* allocation for the same
-//! target ρ — free parallelism the round model leaves on the table.
+//! Round mode realizes the paper's `r̄(m)` exactly. The barrier-free
+//! side is the pipelined executor at batch 1: it keeps a budget of `m`
+//! tasks in flight and retires each task's locks as soon as it
+//! finishes, so its conflict ratio at the same `m` is lower and the
+//! adaptive controller consequently sustains a *larger* allocation for
+//! the same target ρ — free parallelism the round model leaves on the
+//! table.
 //!
-//! Caveat: conflicts in continuous mode require *hardware* overlap.
-//! On a single-CPU host the measured continuous conflict ratio is
-//! ≈ 0 regardless of budget (tasks almost never truly interleave), so
-//! the controller opens the budget wide — read the continuous rows as
-//! a lower bound that grows with real core counts.
+//! Caveat: barrier-free conflicts require *hardware* overlap. On a
+//! host with few CPUs the measured ratio stays near 0 regardless of
+//! budget (tasks rarely truly interleave), so the controller opens
+//! the budget wide — read the pipelined rows as a lower bound that
+//! grows with real core counts.
 //!
 //! Usage: `cargo run --release -p optpar-bench --bin
 //! ablation_continuous [--csv]`
 
 use optpar_apps::ccmirror::CcMirror;
 use optpar_bench::{f, pct, Table, SEED};
-use optpar_core::control::HybridController;
+use optpar_core::control::{Controller, FixedController, HybridController};
 use optpar_graph::gen;
-use optpar_runtime::{ConflictPolicy, Executor, ExecutorConfig, LockSpace, WorkSet};
+use optpar_runtime::{
+    ConflictPolicy, Executor, ExecutorConfig, LockSpace, PipelinedConfig, RunStats, WorkSet,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,104 +40,90 @@ fn build(n: usize, d: f64, seed: u64) -> (LockSpace, CcMirror) {
     (space, mirror)
 }
 
+/// Which executor drains the work-set.
+#[derive(Clone, Copy)]
+enum Mode {
+    Round,
+    /// `run_pipelined` with one task per batch: every task retires
+    /// its locks the moment it finishes.
+    Pipelined,
+}
+
+impl Mode {
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Round => "round",
+            Mode::Pipelined => "pipelined (batch 1)",
+        }
+    }
+}
+
+/// Drain the CC-mirror work-set once under `ctl`.
+fn drain<C: Controller + Send>(
+    mode: Mode,
+    n: usize,
+    workers: usize,
+    ctl: &mut C,
+    seed: u64,
+) -> RunStats {
+    let (space, op) = build(n, 12.0, SEED);
+    let ex = Executor::new(
+        &op,
+        &space,
+        ExecutorConfig {
+            workers,
+            policy: ConflictPolicy::FirstWins,
+            ..ExecutorConfig::default()
+        },
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut ws = WorkSet::from_vec((0..n as u32).collect::<Vec<_>>());
+    match mode {
+        Mode::Round => ex.run_with_controller(&mut ws, ctl, 1_000_000, &mut rng),
+        Mode::Pipelined => ex.run_pipelined(
+            &mut ws,
+            ctl,
+            PipelinedConfig {
+                window: 128,
+                batch: 1,
+                max_completions: 10_000_000,
+            },
+            &mut rng,
+        ),
+    }
+}
+
 fn main() {
     let n = 4000;
     let workers = 4;
 
     let mut table = Table::new(["mode", "allocation", "steady/overall r", "committed"]);
 
-    // Fixed allocations, round mode: drain the whole work-set once.
-    for &m in &[64usize, 256] {
-        let (space, op) = build(n, 12.0, SEED);
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
-        let mut rng = StdRng::seed_from_u64(SEED + 1);
-        let mut ws = WorkSet::from_vec((0..n as u32).collect::<Vec<_>>());
-        let mut ctl = optpar_core::control::FixedController::new(m);
-        let run = ex.run_with_controller(&mut ws, &mut ctl, 1_000_000, &mut rng);
-        table.row([
-            "round".to_string(),
-            format!("fixed {m}"),
-            pct(run.overall_conflict_ratio()),
-            run.total_committed().to_string(),
-        ]);
-    }
-    // Fixed allocations, continuous mode.
-    for &m in &[64usize, 256] {
-        let (space, op) = build(n, 12.0, SEED);
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
-        let mut rng = StdRng::seed_from_u64(SEED + 1);
-        let mut ws = WorkSet::from_vec((0..n as u32).collect::<Vec<_>>());
-        let mut ctl = optpar_core::control::FixedController::new(m);
-        let run = ex.run_continuous(&mut ws, &mut ctl, 128, 10_000_000, &mut rng);
-        table.row([
-            "continuous".to_string(),
-            format!("budget {m}"),
-            pct(run.overall_conflict_ratio()),
-            run.total_committed().to_string(),
-        ]);
+    // Fixed allocations: drain the whole work-set once.
+    for mode in [Mode::Round, Mode::Pipelined] {
+        let what = match mode {
+            Mode::Round => "fixed",
+            Mode::Pipelined => "budget",
+        };
+        for &m in &[64usize, 256] {
+            let run = drain(mode, n, workers, &mut FixedController::new(m), SEED + 1);
+            table.row([
+                mode.name().to_string(),
+                format!("{what} {m}"),
+                pct(run.overall_conflict_ratio()),
+                run.total_committed().to_string(),
+            ]);
+        }
     }
     // Adaptive in both modes.
-    {
-        let (space, op) = build(n, 12.0, SEED);
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
-        let mut rng = StdRng::seed_from_u64(SEED + 2);
-        let mut ws = WorkSet::from_vec((0..n as u32).collect::<Vec<_>>());
+    for mode in [Mode::Round, Mode::Pipelined] {
         let mut ctl = HybridController::with_rho(0.25);
-        let run = ex.run_with_controller(&mut ws, &mut ctl, 1_000_000, &mut rng);
+        let run = drain(mode, n, workers, &mut ctl, SEED + 2);
         let tail = run.rounds.len() / 2;
         let steady: f64 = run.rounds[tail..].iter().map(|r| r.m as f64).sum::<f64>()
             / (run.rounds.len() - tail).max(1) as f64;
         table.row([
-            "round".to_string(),
-            format!("hybrid (steady m = {})", f(steady, 0)),
-            pct(run.overall_conflict_ratio()),
-            run.total_committed().to_string(),
-        ]);
-    }
-    {
-        let (space, op) = build(n, 12.0, SEED);
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
-        let mut rng = StdRng::seed_from_u64(SEED + 2);
-        let mut ws = WorkSet::from_vec((0..n as u32).collect::<Vec<_>>());
-        let mut ctl = HybridController::with_rho(0.25);
-        let run = ex.run_continuous(&mut ws, &mut ctl, 128, 10_000_000, &mut rng);
-        let tail = run.rounds.len() / 2;
-        let steady: f64 = run.rounds[tail..].iter().map(|r| r.m as f64).sum::<f64>()
-            / (run.rounds.len() - tail).max(1) as f64;
-        table.row([
-            "continuous".to_string(),
+            mode.name().to_string(),
             format!("hybrid (steady m = {})", f(steady, 0)),
             pct(run.overall_conflict_ratio()),
             run.total_committed().to_string(),
@@ -141,7 +131,7 @@ fn main() {
     }
 
     println!(
-        "TAB-CONT: round vs continuous execution, CC-mirror on n = {n}, d = 12, {workers} workers"
+        "TAB-CONT: round vs barrier-free (pipelined, batch 1) execution, CC-mirror on n = {n}, d = 12, {workers} workers"
     );
     table.print("ablation — what round co-residency costs");
 }

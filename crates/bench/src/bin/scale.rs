@@ -92,16 +92,14 @@ impl Row {
     }
 }
 
+#[cfg(feature = "obs")]
 fn shard_counts(space: &LockSpace) -> Option<(u64, u64)> {
-    #[cfg(feature = "obs")]
-    {
-        return Some(space.shard_counts());
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = space;
-        None
-    }
+    Some(space.shard_counts())
+}
+
+#[cfg(not(feature = "obs"))]
+fn shard_counts(_space: &LockSpace) -> Option<(u64, u64)> {
+    None
 }
 
 /// Drain a work-set to quiescence in the requested mode and return the
@@ -309,7 +307,8 @@ fn locality_for(rows: &[Row], app: &'static str, graph: &str) -> Locality {
 }
 
 fn opt_json(x: Option<f64>) -> String {
-    x.map(|v| format!("{v:.6}")).unwrap_or_else(|| "null".into())
+    x.map(|v| format!("{v:.6}"))
+        .unwrap_or_else(|| "null".into())
 }
 
 fn to_json(smoke: bool, rows: &[Row], locality: &[Locality]) -> String {
@@ -442,7 +441,10 @@ fn main() {
                         &reference,
                         SEED ^ cell as u64,
                     );
-                    assert!(row.verified, "sssp/{gname}/{layout}/{mode}/w{workers} failed oracle");
+                    assert!(
+                        row.verified,
+                        "sssp/{gname}/{layout}/{mode}/w{workers} failed oracle"
+                    );
                     eprintln!(
                         "[scale]   {layout}/{mode}/w{workers}: {:.1} commits/s ({:.2}s)",
                         row.commits_per_s(),
@@ -485,7 +487,15 @@ fn main() {
     }
 
     let mut table = Table::new([
-        "app", "graph", "nodes", "layout", "mode", "w", "commits/s", "cut", "cross",
+        "app",
+        "graph",
+        "nodes",
+        "layout",
+        "mode",
+        "w",
+        "commits/s",
+        "cut",
+        "cross",
     ]);
     for r in &rows {
         table.row([

@@ -152,11 +152,7 @@ pub fn bfs_partition(g: &CsrGraph, k: usize, imbalance: f64) -> Partition {
         let fits = (0..k)
             .filter(|&b| loads[b] + size <= cap)
             .min_by_key(|&b| (loads[b], b));
-        let bin = fits.unwrap_or_else(|| {
-            (0..k)
-                .min_by_key(|&b| (loads[b], b))
-                .expect("k >= 1")
-        });
+        let bin = fits.unwrap_or_else(|| (0..k).min_by_key(|&b| (loads[b], b)).expect("k >= 1"));
         loads[bin] += size;
         part_of_piece[p as usize] = bin as u32;
     }

@@ -30,9 +30,16 @@
 //! [`LockSpace::advance_epoch`] bump: committed tasks' locks simply
 //! expire with the epoch instead of being walked and released.
 //!
-//! [`Executor::run_round_scoped`] preserves the old
-//! spawn-threads-every-round implementation as a baseline for
-//! benchmarks and differential tests.
+//! ## One task-attempt kernel
+//!
+//! Every executor runs its operator through one kernel,
+//! `Executor::attempt`: panic containment, rollback, the fault record,
+//! the checker trace and the obs events exist there once. Round tasks
+//! run in lock lane 0 under the round epoch; pipelined worker `w` runs
+//! its batches in lane `w + 1` under the lane's batch tag. Callers
+//! fold the returned outcome into their own counters, settle a fault
+//! through `Executor::settle_fault` (dead-letter or re-queue), and
+//! clamp their allocation through one zero-commit `Watchdog`.
 
 use crate::faults::{FaultCause, FaultLog, TaskFault};
 use crate::lock::{state, ConflictPolicy, LockSpace};
@@ -40,7 +47,7 @@ use crate::phase::{self, Phase};
 use crate::pool::WorkerPool;
 use crate::probe::{obs_emit, Probe};
 use crate::stats::{RoundStats, RunStats};
-use crate::task::{Operator, TaskCtx};
+use crate::task::{Abort, Operator, TaskCtx};
 use optpar_core::control::Controller;
 use rand::Rng;
 use std::cell::UnsafeCell;
@@ -267,6 +274,51 @@ impl Default for ExecutorConfig {
     }
 }
 
+/// The zero-commit watchdog shared by every driver loop (round
+/// controller, pipelined window flush, service job drive).
+///
+/// It counts consecutive steps (rounds or windows) that launched work
+/// but committed none. Once the count reaches the threshold `T`, each
+/// step's allocation is halved per stalled step past `T - 1`, down to
+/// 1, where Prop. 1 (`r̄(1) = 0`) guarantees the head task commits. A
+/// step that commits resets it; `T = u32::MAX` disables it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Watchdog {
+    stalled: u32,
+    threshold: u32,
+}
+
+impl Watchdog {
+    /// A quiet watchdog that engages after `threshold` stalled steps.
+    pub(crate) fn new(threshold: u32) -> Self {
+        Watchdog {
+            stalled: 0,
+            threshold,
+        }
+    }
+
+    /// The allocation to use for the next step: `m` itself until the
+    /// stall count reaches the threshold, then `m` halved once per
+    /// stalled step from there (shift capped at 63), floor 1.
+    pub(crate) fn clamp(&self, m: usize) -> usize {
+        if self.threshold == u32::MAX || self.stalled < self.threshold {
+            return m;
+        }
+        let shift = (self.stalled - self.threshold).saturating_add(1).min(63);
+        (m >> shift).max(1)
+    }
+
+    /// Fold one finished step in: a step that launched work and
+    /// committed none is a stall; anything else resets the count.
+    pub(crate) fn observe(&mut self, launched: usize, committed: usize) {
+        self.stalled = if launched > 0 && committed == 0 {
+            self.stalled.saturating_add(1)
+        } else {
+            0
+        };
+    }
+}
+
 /// How an executor reaches its worker threads: none (inline), an
 /// owned pool (the classic standalone construction), or a borrowed
 /// pool shared with other executors (the job-service construction,
@@ -332,10 +384,10 @@ impl<O: Operator> std::fmt::Debug for Executor<'_, O> {
     }
 }
 
-/// Outcome of one task within a round. Committed tasks' locks are not
-/// carried here: they stay stamped in the lock space until the round's
-/// epoch bump expires them wholesale.
-enum TaskResult<T> {
+/// Outcome of one task attempt. Committed tasks' locks are not carried
+/// here: they stay stamped in the lock space until the round's epoch
+/// bump (or the pipelined batch's lane bump) expires them wholesale.
+pub(crate) enum TaskResult<T> {
     Committed {
         spawned: Vec<T>,
         acquires: usize,
@@ -466,12 +518,6 @@ impl<'a, O: Operator> Executor<'a, O> {
         crate::faults::recover(self.faults.lock()).push(fault);
     }
 
-    /// Retire one task to the dead-letter list (shared by the round
-    /// and pipelined executors).
-    pub(crate) fn push_dead_letter(&self, letter: crate::faults::DeadLetter) {
-        crate::faults::recover(self.dead_letters.lock()).push(letter);
-    }
-
     /// Worker threads still alive in the pool (`None` for inline
     /// execution, which has no threads). Panic containment keeps this
     /// at `workers` even under injected panics.
@@ -488,22 +534,6 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// The lock space this executor arbitrates over.
     pub(crate) fn space(&self) -> &'a LockSpace {
         self.space
-    }
-
-    /// The operator being executed.
-    pub(crate) fn op(&self) -> &'a O {
-        self.op
-    }
-
-    /// The persistent worker pool (`None` when `workers == 1`).
-    pub(crate) fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.get()
-    }
-
-    /// The installed fault-injection plan, if any.
-    #[cfg(feature = "faults")]
-    pub(crate) fn fault_plan(&self) -> Option<&'a crate::faults::FaultPlan> {
-        self.fault_plan
     }
 
     /// Attach a phase clock: subsequent runs charge their draw /
@@ -651,135 +681,13 @@ impl<'a, O: Operator> Executor<'a, O> {
         #[cfg(feature = "checker")]
         self.space.audit().arm(self.cfg.workers == 1);
 
-        let results: Vec<TaskResult<O::Task>> = match self.pool.get() {
-            // BLOCKING-OK: `scratch` is the per-slot state-machine arena the
-            // workers themselves spin on; holding it across the pool
-            // rendezvous is the design (workers access the cells lock-free
-            // via the `states` borrow), and no other thread ever takes
-            // `scratch` while a round is in flight.
-            Some(pool) if self.cfg.workers > 1 => self.run_parallel(pool, &batch, states),
-            _ => {
-                let t_exec = phase::maybe_start(self.phases);
-                let out = batch
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, e)| self.run_task(slot, &e.task, states, self.probe_for(0)))
-                    .collect();
-                phase::maybe_add(self.phases, Phase::Execute, t_exec);
-                out
-            }
-        };
+        // BLOCKING-OK: `scratch` is the per-slot state-machine arena the
+        // workers themselves spin on; holding it across the pool
+        // rendezvous is the design (workers access the cells lock-free
+        // via the `states` borrow), and no other thread ever takes
+        // `scratch` while a round is in flight.
+        let results = self.run_batch(&batch, states);
         drop(scratch);
-
-        self.merge_round(ws, m, batch, results)
-    }
-
-    /// Baseline round implementation that spawns fresh scoped threads
-    /// every round (per-task work claiming, post-round sort). Kept as
-    /// the comparison point for the `throughput` benchmark and for
-    /// differential tests against the pooled path; semantics are
-    /// identical to [`Self::run_round`].
-    pub fn run_round_scoped<R: Rng + ?Sized>(
-        &self,
-        ws: &mut WorkSet<O::Task>,
-        m: usize,
-        rng: &mut R,
-    ) -> RoundStats {
-        let t_draw = phase::maybe_start(self.phases);
-        let batch = ws.sample_drain_aged(m, rng, self.cfg.retry_budget);
-        phase::maybe_add(self.phases, Phase::Draw, t_draw);
-        let launched = batch.len();
-        #[cfg(feature = "obs")]
-        self.obs_round_begin(m, &batch);
-        if launched == 0 {
-            #[cfg(feature = "obs")]
-            if let Some(rec) = self.recorder.as_ref() {
-                rec.round_end(
-                    self.space.epoch(),
-                    m as u64,
-                    optpar_obs::RoundTotals::default(),
-                    0,
-                );
-            }
-            return RoundStats {
-                m,
-                ..RoundStats::default()
-            };
-        }
-        assert!(launched < u32::MAX as usize, "round too large");
-        let states: Vec<AtomicU8> = (0..launched)
-            .map(|_| AtomicU8::new(state::ACQUIRING))
-            .collect();
-
-        #[cfg(feature = "checker")]
-        self.space.audit().arm(self.cfg.workers == 1);
-
-        let results: Vec<TaskResult<O::Task>> = if self.cfg.workers == 1 {
-            let t_exec = phase::maybe_start(self.phases);
-            let out = batch
-                .iter()
-                .enumerate()
-                .map(|(slot, e)| self.run_task(slot, &e.task, &states, self.probe_for(0)))
-                .collect();
-            phase::maybe_add(self.phases, Phase::Execute, t_exec);
-            out
-        } else {
-            let next = AtomicUsize::new(0);
-            let workers = self.cfg.workers.min(launched);
-            let batch_ref = &batch;
-            let states = &states;
-            let pc = self.phases;
-            let exec_before = pc.map(|c| c.snapshot().execute_ns);
-            let t_wall = phase::maybe_start(pc);
-            let mut filled: Vec<Option<TaskResult<O::Task>>> = Vec::new();
-            filled.resize_with(launched, || None);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let next = &next;
-                        let probe = self.probe_for(w);
-                        s.spawn(move || {
-                            let t_busy = phase::maybe_start(pc);
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::AcqRel);
-                                if i >= batch_ref.len() {
-                                    break;
-                                }
-                                local
-                                    .push((i, self.run_task(i, &batch_ref[i].task, states, probe)));
-                            }
-                            phase::maybe_add(pc, Phase::Execute, t_busy);
-                            local
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // Operator panics are contained inside run_task, so
-                    // a join error means the runtime itself panicked on
-                    // that worker. Swallow the loss; the worker's
-                    // claimed slots fault below instead of tearing the
-                    // round down.
-                    if let Ok(local) = h.join() {
-                        for (i, r) in local {
-                            filled[i] = Some(r);
-                        }
-                    }
-                }
-            });
-            // Wait = worker-seconds the dispatch held that nobody
-            // spent executing (stragglers at the implicit join).
-            if let (Some(c), Some(before)) = (pc, exec_before) {
-                let wall = t_wall.map_or(0, phase::span_ns);
-                let busy = c.snapshot().execute_ns.saturating_sub(before);
-                c.add_ns(Phase::Wait, (workers as u64 * wall).saturating_sub(busy));
-            }
-            filled
-                .into_iter()
-                .enumerate()
-                .map(|(slot, r)| r.unwrap_or_else(|| self.missing_result(slot)))
-                .collect()
-        };
 
         self.merge_round(ws, m, batch, results)
     }
@@ -801,49 +709,36 @@ impl<'a, O: Operator> Executor<'a, O> {
             ..RoundStats::default()
         };
         for (entry, result) in batch.into_iter().zip(results) {
-            match result {
+            let back = match result {
                 TaskResult::Committed { spawned, acquires } => {
                     stats.committed += 1;
                     stats.spawned += spawned.len();
                     stats.lock_acquires += acquires;
                     ws.extend(spawned);
+                    None
                 }
                 TaskResult::Aborted { acquires } => {
                     stats.aborted += 1;
                     stats.lock_acquires += acquires;
-                    // Retry in a later round, one step closer to the
-                    // aging threshold.
-                    ws.push_entry(Entry {
-                        retries: entry.retries.saturating_add(1),
-                        ..entry
-                    });
+                    Some(entry)
                 }
                 TaskResult::Faulted { fault, acquires } => {
                     stats.faulted += 1;
                     stats.lock_acquires += acquires;
-                    if entry.retries >= self.cfg.dead_letter_budget {
-                        // Faulting again at retries ≥ K: retire the
-                        // task instead of re-queuing it forever. An
-                        // always-faulting task therefore launches at
-                        // most K + 1 times.
+                    let back = self.settle_fault(entry, *fault);
+                    if back.is_none() {
                         stats.dead_lettered += 1;
-                        crate::faults::recover(self.dead_letters.lock()).push(
-                            crate::faults::DeadLetter {
-                                epoch: fault.epoch,
-                                slot: fault.slot,
-                                retries: entry.retries,
-                                cause: fault.cause.clone(),
-                                detail: fault.detail.clone(),
-                            },
-                        );
-                    } else {
-                        ws.push_entry(Entry {
-                            retries: entry.retries.saturating_add(1),
-                            ..entry
-                        });
                     }
-                    self.log_fault(*fault);
+                    back
                 }
+            };
+            if let Some(entry) = back {
+                // Retry in a later round, one step closer to the
+                // aging threshold.
+                ws.push_entry(Entry {
+                    retries: entry.retries.saturating_add(1),
+                    ..entry
+                });
             }
         }
         // Audit the finished round's traces before the epoch bump (the
@@ -912,24 +807,13 @@ impl<'a, O: Operator> Executor<'a, O> {
         rng: &mut R,
     ) -> RunStats {
         let mut run = RunStats::default();
-        let mut stalled: u32 = 0;
+        let mut watchdog = Watchdog::new(self.cfg.watchdog_stall);
         for _ in 0..max_rounds {
             if ws.is_empty() {
                 break;
             }
-            let mut m = ctl.current_m();
-            if stalled >= self.cfg.watchdog_stall {
-                let excess = (stalled - self.cfg.watchdog_stall)
-                    .saturating_add(1)
-                    .min(63);
-                m = (m >> excess).max(1);
-            }
-            let rs = self.run_round(ws, m, rng);
-            stalled = if rs.launched > 0 && rs.committed == 0 {
-                stalled.saturating_add(1)
-            } else {
-                0
-            };
+            let rs = self.run_round(ws, watchdog.clamp(ctl.current_m()), rng);
+            watchdog.observe(rs.launched, rs.committed);
             ctl.observe(rs.pressure_ratio(), rs.launched);
             #[cfg(feature = "obs")]
             if let Some(rec) = self.recorder.as_ref() {
@@ -944,18 +828,25 @@ impl<'a, O: Operator> Executor<'a, O> {
         run
     }
 
-    /// Run one task to completion under panic containment.
+    /// Run one task attempt under panic containment: the only place
+    /// an operator runs.
+    ///
+    /// `lane` 0 is a round task: its locks are stamped with the round
+    /// epoch and its fault coordinate is that epoch. Lane `w + 1` is
+    /// pipelined worker `w`: locks carry the lane's batch tag, and the
+    /// tag keys the fault draw and the checker trace, so a re-queued
+    /// task re-rolls its fault under a fresh tag.
     ///
     /// The operator call is wrapped in `catch_unwind`: a panicking
-    /// operator (or a fired injected panic) is converted into a
-    /// structured [`TaskResult::Faulted`] — its undo log is replayed
-    /// and its locks released exactly like an abort, the worker thread
-    /// survives, and the round continues. The rollback is always sound
-    /// because `TaskCtx` snapshots a slot *before* handing out the
-    /// `&mut`, so the undo log is complete at every possible unwind
-    /// point.
-    fn run_task(
+    /// operator (or a fired injected panic) becomes a structured
+    /// [`TaskResult::Faulted`] — its undo log is replayed and its locks
+    /// released exactly like an abort, and the worker thread survives.
+    /// The rollback is always sound because `TaskCtx` snapshots a slot
+    /// *before* handing out the `&mut`, so the undo log is complete at
+    /// every possible unwind point.
+    pub(crate) fn attempt(
         &self,
+        lane: usize,
         slot: usize,
         task: &O::Task,
         states: &[AtomicU8],
@@ -968,109 +859,144 @@ impl<'a, O: Operator> Executor<'a, O> {
                 epoch: self.space.epoch(),
             }
         );
-        let mut cx = TaskCtx::new(slot, self.space, states, self.cfg.policy);
+        let mut cx = if lane == 0 {
+            TaskCtx::new(slot, self.space, states, self.cfg.policy)
+        } else {
+            TaskCtx::new_in_lane(slot, self.space, states, self.cfg.policy, lane)
+        };
         #[cfg(feature = "checker")]
         cx.note_seed(self.op.conflict_seed(task));
         cx.attach_probe(probe);
         #[cfg(feature = "faults")]
         if let Some(plan) = self.fault_plan {
-            cx.arm_fault(plan, self.space.epoch());
+            cx.arm_fault(plan, self.lane_epoch(lane));
         }
-        match catch_unwind(AssertUnwindSafe(|| self.op.execute(task, &mut cx))) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.op.execute(task, &mut cx)));
+        let acquires = cx.acquires;
+        let fault = match outcome {
             Ok(Ok(spawned)) => {
-                let acquires = cx.acquires;
-                match cx.finish_commit() {
-                    // The committed lockset stays stamped in the lock
-                    // space; the round's epoch bump will expire it.
-                    Some(_lockset) => {
-                        obs_emit!(
-                            probe,
-                            optpar_obs::EventKind::TaskCommit {
-                                slot: slot as u32,
-                                acquires: acquires as u32,
-                                spawned: spawned.len() as u32,
-                            }
-                        );
-                        TaskResult::Committed { spawned, acquires }
-                    }
-                    None => {
-                        obs_emit!(
-                            probe,
-                            optpar_obs::EventKind::TaskAbort {
-                                slot: slot as u32,
-                                acquires: acquires as u32,
-                            }
-                        );
-                        TaskResult::Aborted { acquires }
-                    }
-                }
-            }
-            Ok(Err(abort)) => {
-                #[cfg(feature = "checker")]
-                {
-                    if matches!(abort, crate::task::Abort::Requested) {
-                        cx.note_requested_abort();
-                    }
-                    if matches!(abort, crate::task::Abort::Fault) {
-                        cx.note_fault();
-                    }
-                }
-                let acquires = cx.acquires;
-                let faulted = matches!(abort, crate::task::Abort::Fault);
-                cx.finish_abort();
-                if faulted {
+                // The committed lockset stays stamped in the lock
+                // space; the round's epoch bump (or the batch's lane
+                // bump) will expire it.
+                if cx.finish_commit().is_some() {
                     obs_emit!(
                         probe,
-                        optpar_obs::EventKind::TaskFault {
-                            slot: slot as u32,
-                            cause: FaultCause::Injected.code(),
-                        }
-                    );
-                    TaskResult::Faulted {
-                        fault: Box::new(TaskFault {
-                            epoch: self.space.epoch(),
-                            slot: Some(slot),
-                            cause: FaultCause::Injected,
-                            detail: "injected spurious abort".to_string(),
-                        }),
-                        acquires,
-                    }
-                } else {
-                    obs_emit!(
-                        probe,
-                        optpar_obs::EventKind::TaskAbort {
+                        optpar_obs::EventKind::TaskCommit {
                             slot: slot as u32,
                             acquires: acquires as u32,
+                            spawned: spawned.len() as u32,
                         }
                     );
-                    TaskResult::Aborted { acquires }
+                    return TaskResult::Committed { spawned, acquires };
                 }
+                // Doomed between its last access and commit (only a
+                // priority-wins round can get here); rolled back.
+                None
             }
-            Err(payload) => {
-                // The operator panicked (or an injected panic fired).
-                // Contain it: roll back, release locks, keep the worker.
+            Ok(Err(Abort::Fault)) => {
                 #[cfg(feature = "checker")]
                 cx.note_fault();
-                let acquires = cx.acquires;
                 cx.finish_abort();
-                let (cause, detail) = crate::faults::classify_panic(payload.as_ref());
-                obs_emit!(
-                    probe,
-                    optpar_obs::EventKind::TaskFault {
-                        slot: slot as u32,
-                        cause: cause.code(),
-                    }
-                );
-                TaskResult::Faulted {
-                    fault: Box::new(TaskFault {
-                        epoch: self.space.epoch(),
-                        slot: Some(slot),
-                        cause,
-                        detail,
-                    }),
-                    acquires,
-                }
+                Some((FaultCause::Injected, "injected spurious abort".to_string()))
             }
+            Ok(Err(abort)) => {
+                // The checker's commit-set oracle must not expect an
+                // operator-requested abort to commit, in any mode.
+                #[cfg(feature = "checker")]
+                if matches!(abort, Abort::Requested) {
+                    cx.note_requested_abort();
+                }
+                #[cfg(not(feature = "checker"))]
+                let _ = abort;
+                cx.finish_abort();
+                None
+            }
+            Err(payload) => {
+                // The operator panicked (or an injected panic fired):
+                // contain it — roll back, release, keep the worker.
+                #[cfg(feature = "checker")]
+                cx.note_fault();
+                cx.finish_abort();
+                Some(crate::faults::classify_panic(payload.as_ref()))
+            }
+        };
+        let Some((cause, detail)) = fault else {
+            obs_emit!(
+                probe,
+                optpar_obs::EventKind::TaskAbort {
+                    slot: slot as u32,
+                    acquires: acquires as u32,
+                }
+            );
+            return TaskResult::Aborted { acquires };
+        };
+        obs_emit!(
+            probe,
+            optpar_obs::EventKind::TaskFault {
+                slot: slot as u32,
+                cause: cause.code(),
+            }
+        );
+        TaskResult::Faulted {
+            fault: Box::new(TaskFault {
+                epoch: self.lane_epoch(lane),
+                slot: Some(slot),
+                cause,
+                detail,
+            }),
+            acquires,
+        }
+    }
+
+    /// The coordinate faults in `lane` are keyed and recorded under:
+    /// the round epoch for lane 0, the lane's batch tag otherwise.
+    /// Stable for the whole attempt — neither advances while a task
+    /// of the lane runs.
+    fn lane_epoch(&self, lane: usize) -> u64 {
+        if lane == 0 {
+            self.space.epoch()
+        } else {
+            self.space.lane_tag(lane)
+        }
+    }
+
+    /// Decide a faulted entry's fate: an entry that faults again at
+    /// `retries ≥` [`ExecutorConfig::dead_letter_budget`] is retired
+    /// to the dead-letter list (`None`), so an always-faulting task
+    /// launches at most K + 1 times in every mode; anything else comes
+    /// back for the caller to re-queue. The fault is logged either way.
+    pub(crate) fn settle_fault(
+        &self,
+        entry: Entry<O::Task>,
+        fault: TaskFault,
+    ) -> Option<Entry<O::Task>> {
+        let retire = entry.retries >= self.cfg.dead_letter_budget;
+        if retire {
+            crate::faults::recover(self.dead_letters.lock()).push(crate::faults::DeadLetter {
+                epoch: fault.epoch,
+                slot: fault.slot,
+                retries: entry.retries,
+                cause: fault.cause.clone(),
+                detail: fault.detail.clone(),
+            });
+        }
+        self.log_fault(fault);
+        (!retire).then_some(entry)
+    }
+
+    /// Run `job(w)` once on every pool worker `w` and wait for all of
+    /// them; with one worker, run `job(0)` on the calling thread. A pool
+    /// retired under us (the service supervisor swaps pools when
+    /// detaching a wedged job, and a round can hold the old Arc across
+    /// that swap) ran nothing, so `job(0)` then drains the whole batch
+    /// inline; the caller picks up the replacement pool next time.
+    pub(crate) fn dispatch(&self, job: &(dyn Fn(usize) + Sync)) {
+        let ran = match self.pool.get() {
+            Some(pool) if self.cfg.workers > 1 => pool.run(job).is_ok(),
+            _ => false,
+        };
+        if !ran {
+            job(0);
         }
     }
 
@@ -1093,14 +1019,10 @@ impl<'a, O: Operator> Executor<'a, O> {
         }
     }
 
-    /// Dispatch one round onto the persistent pool: chunked index
-    /// claiming, results into pre-indexed slots (no sort).
-    fn run_parallel(
-        &self,
-        pool: &WorkerPool,
-        batch: &[Entry<O::Task>],
-        states: &[AtomicU8],
-    ) -> Vec<TaskResult<O::Task>> {
+    /// Run one round's batch: chunked index claiming, results into
+    /// pre-indexed slots (no sort). With one worker the chunks run in
+    /// order on the calling thread, so the round stays deterministic.
+    fn run_batch(&self, batch: &[Entry<O::Task>], states: &[AtomicU8]) -> Vec<TaskResult<O::Task>> {
         let n = batch.len();
         // Chunked claiming: ~8 chunks per worker balances the tail
         // (large final chunks straggle) against counter contention
@@ -1120,7 +1042,7 @@ impl<'a, O: Operator> Executor<'a, O> {
                 }
                 let end = (start + chunk).min(n);
                 for i in start..end {
-                    let r = self.run_task(i, &batch[i].task, states, probe);
+                    let r = self.attempt(0, i, &batch[i].task, states, probe);
                     // SAFETY: index `i` belongs to exactly one claimed
                     // chunk, so this cell has a single writer; readers
                     // wait for the rendezvous below.
@@ -1131,15 +1053,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         };
         let exec_before = pc.map(|c| c.snapshot().execute_ns);
         let t_wall = phase::maybe_start(pc);
-        if pool.run(&job).is_err() {
-            // The pool was retired under us (the service supervisor
-            // swaps pools when detaching a wedged job, and a round can
-            // hold the old Arc across that swap). Nothing ran on the
-            // pool, so drain the whole batch inline through the same
-            // chunk-claiming closure; the caller picks up the
-            // replacement pool on its next round.
-            job(0);
-        }
+        self.dispatch(&job);
         // Wait = worker-seconds the rendezvous held that nobody spent
         // executing (the barrier's straggler cost).
         if let (Some(c), Some(before)) = (pc, exec_before) {
@@ -1162,7 +1076,7 @@ impl<'a, O: Operator> Executor<'a, O> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::store::SpecStore;
     use crate::task::Abort;
@@ -1172,9 +1086,9 @@ mod tests {
 
     /// Toy operator: task `i` increments counter `i` and decrements its
     /// ring neighbour `i+1` — adjacent tasks conflict.
-    struct RingOp<'s> {
-        store: &'s SpecStore<i64>,
-        n: usize,
+    pub(crate) struct RingOp<'s> {
+        pub(crate) store: &'s SpecStore<i64>,
+        pub(crate) n: usize,
     }
 
     impl Operator for RingOp<'_> {
@@ -1185,6 +1099,15 @@ mod tests {
             *cx.write(self.store, i)? += 1;
             *cx.write(self.store, j)? -= 1;
             Ok(vec![])
+        }
+    }
+
+    /// First-wins config with `workers` threads, defaults otherwise.
+    pub(crate) fn exec_cfg(workers: usize) -> ExecutorConfig {
+        ExecutorConfig {
+            workers,
+            policy: ConflictPolicy::FirstWins,
+            ..ExecutorConfig::default()
         }
     }
 
@@ -1239,15 +1162,7 @@ mod tests {
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
         let clock = crate::phase::PhaseClock::new();
-        let mut ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 2,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
+        let mut ex = Executor::new(&op, &space, exec_cfg(2));
         ex.set_phase_clock(&clock);
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         while !ws.is_empty() {
@@ -1272,15 +1187,7 @@ mod tests {
         let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 1,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(1));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut total_committed = 0;
         while !ws.is_empty() {
@@ -1305,15 +1212,7 @@ mod tests {
         let (space, r) = ring_setup(n);
         let store = SpecStore::filled(r, n, 0i64);
         let op = RingOp { store: &store, n };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 8,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(8));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut committed = 0;
         let mut rounds = 0;
@@ -1348,34 +1247,6 @@ mod tests {
         while !ws.is_empty() {
             let rs = ex.run_round(&mut ws, 32, &mut rng);
             committed += rs.committed;
-        }
-        assert_eq!(committed, n);
-        let mut store = store;
-        assert_eq!(store.snapshot().iter().sum::<i64>(), 0);
-    }
-
-    #[test]
-    fn scoped_baseline_matches_semantics() {
-        // The retained scoped-thread baseline must drain the same
-        // workload to the same final state.
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 64;
-        let (space, r) = ring_setup(n);
-        let store = SpecStore::filled(r, n, 0i64);
-        let op = RingOp { store: &store, n };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 4,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
-        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
-        let mut committed = 0;
-        while !ws.is_empty() {
-            committed += ex.run_round_scoped(&mut ws, 16, &mut rng).committed;
         }
         assert_eq!(committed, n);
         let mut store = store;
@@ -1558,10 +1429,10 @@ mod tests {
 
     /// Operator that panics exactly once (on task `13`, first sight),
     /// then behaves like [`RingOp`].
-    struct PanicOnceOp<'s> {
-        store: &'s SpecStore<i64>,
-        n: usize,
-        armed: std::sync::atomic::AtomicBool,
+    pub(crate) struct PanicOnceOp<'s> {
+        pub(crate) store: &'s SpecStore<i64>,
+        pub(crate) n: usize,
+        pub(crate) armed: std::sync::atomic::AtomicBool,
     }
 
     impl Operator for PanicOnceOp<'_> {
@@ -1589,15 +1460,7 @@ mod tests {
             n,
             armed: std::sync::atomic::AtomicBool::new(true),
         };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 1,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(1));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut committed = 0;
         let mut faulted = 0;
@@ -1636,15 +1499,7 @@ mod tests {
             n,
             armed: std::sync::atomic::AtomicBool::new(true),
         };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 4,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(4));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut committed = 0;
         while !ws.is_empty() {
@@ -1779,5 +1634,58 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(25);
         let run = ex.run_with_controller(&mut ws, &mut ctl, 12, &mut rng);
         assert!(run.m_series().iter().all(|&m| m == 8));
+    }
+
+    #[test]
+    fn watchdog_is_quiet_below_threshold() {
+        let mut wd = Watchdog::new(3);
+        for _ in 0..2 {
+            wd.observe(10, 0);
+            assert_eq!(wd.clamp(64), 64);
+        }
+    }
+
+    #[test]
+    fn watchdog_halves_per_extra_stalled_step() {
+        let mut wd = Watchdog::new(2);
+        wd.observe(10, 0);
+        wd.observe(10, 0);
+        assert_eq!(wd.clamp(64), 32, "engages at the threshold");
+        wd.observe(10, 0);
+        assert_eq!(wd.clamp(64), 16);
+        wd.observe(10, 0);
+        assert_eq!(wd.clamp(64), 8);
+        for _ in 0..100 {
+            wd.observe(10, 0);
+        }
+        assert_eq!(wd.clamp(usize::MAX), 1, "shift capped at 63, floor 1");
+        assert_eq!(wd.clamp(0), 1, "floor 1 even from m = 0");
+    }
+
+    #[test]
+    fn watchdog_resets_on_commit() {
+        let mut wd = Watchdog::new(1);
+        wd.observe(10, 0);
+        wd.observe(10, 0);
+        assert_eq!(wd.clamp(64), 16);
+        wd.observe(10, 1);
+        assert_eq!(wd.clamp(64), 64, "a commit resets the stall count");
+        wd.observe(10, 0);
+        wd.observe(0, 0);
+        assert_eq!(wd.clamp(64), 64, "an empty step is not a stall");
+    }
+
+    #[test]
+    fn watchdog_disabled_at_u32_max() {
+        let mut wd = Watchdog::new(u32::MAX);
+        for _ in 0..1000 {
+            wd.observe(10, 0);
+        }
+        assert_eq!(wd.clamp(64), 64);
+        let saturated = Watchdog {
+            stalled: u32::MAX,
+            threshold: u32::MAX,
+        };
+        assert_eq!(saturated.clamp(64), 64, "even a saturated count");
     }
 }

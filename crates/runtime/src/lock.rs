@@ -260,9 +260,7 @@ impl LockSpace {
         // the boxed lines form one contiguous array of
         // `lines.len() · LINE_WORDS ≥ words` words; the first `words`
         // of them are the live lock words.
-        unsafe {
-            std::slice::from_raw_parts(self.lines.as_ptr().cast::<AtomicU64>(), self.words)
-        }
+        unsafe { std::slice::from_raw_parts(self.lines.as_ptr().cast::<AtomicU64>(), self.words) }
     }
 
     /// The current epoch counter (monotonic; one step per round).
@@ -476,8 +474,7 @@ pub enum AcquireError {
 }
 
 /// Attempt to acquire lock `l` for task `slot` under `policy`,
-/// stamping lane 0's current tag (the round-synchronous and
-/// continuous modes).
+/// stamping lane 0's current tag (round mode).
 ///
 /// `states` is the per-round task-state array. Returns `Ok(true)` if
 /// newly acquired, `Ok(false)` if already held (reentrant).
@@ -592,9 +589,11 @@ pub(crate) fn acquire_tagged(
 }
 
 /// Release every lock in `lockset` held by `slot` under lane 0's
-/// current epoch, skipping stolen entries. Used by aborting tasks
-/// (which must free their words within the round) and by unit tests;
-/// committed tasks rely on [`LockSpace::advance_epoch`] instead.
+/// current epoch, skipping stolen entries. A unit-test stand-in for
+/// the round barrier: the executors release aborting tasks through
+/// [`release_all_tagged`] and committed ones through
+/// [`LockSpace::advance_epoch`].
+#[cfg(test)]
 pub(crate) fn release_all(space: &LockSpace, slot: usize, lockset: &[usize]) {
     release_all_tagged(space, slot, space.epoch_tag(), lockset)
 }

@@ -20,17 +20,24 @@
 //!   speculation budget**: a counting gate admits at most `m` tasks
 //!   into flight; every `window` completions the crossing worker
 //!   flushes the sliding window — observing `r̄ = (aborts + faults) /
-//!   completions` — and the controller adjusts the budget. A
-//!   zero-commit watchdog (mirroring the round executor's) halves the
-//!   budget after `watchdog_stall` commit-free windows, down to 1,
-//!   where a lone in-flight task cannot conflict and Prop. 1 gives
-//!   forward progress.
+//!   completions` — and the controller adjusts the budget. The same
+//!   zero-commit watchdog the round executor uses halves the budget
+//!   after `watchdog_stall` commit-free windows, down to 1, where a
+//!   lone in-flight task cannot conflict and Prop. 1 gives forward
+//!   progress.
+//!
+//! Each task runs through the executor's one task-attempt kernel
+//! (`Executor::attempt`) in the worker's lane, so panic containment,
+//! rollback, fault records and checker traces are the round
+//! executor's, not a copy of them.
 //!
 //! Aborted tasks release their own (tag-scoped) locks immediately and
-//! re-queue with a bumped retry count — on the worker's home shard by
-//! default, or on the task's affine shard when the run has a
-//! [`Placement`]; spawned tasks are distributed round-robin (or by the
-//! placement) across the shards. A task that *faults* again while
+//! re-queue with a bumped retry count once their worker has made its
+//! next draw — on the next shard in the worker's rotation by default,
+//! or on the task's affine shard when the run has a [`Placement`] — so
+//! a loser is not retried straight back into the live locks of the
+//! holder that beat it. Spawned tasks are distributed round-robin (or
+//! by the placement) across the shards. A task that *faults* again while
 //! already at `retries ≥` [`ExecutorConfig::dead_letter_budget`] is
 //! retired to the dead-letter list exactly as in round mode, so the
 //! K + 1 launch bound holds in both modes.
@@ -56,17 +63,16 @@
 //! [`LockSpace`]: crate::lock::LockSpace
 //! [`LockSpace::advance_lane`]: crate::lock::LockSpace::advance_lane
 
-use crate::exec::{Entry, Executor, WorkSet};
-use crate::faults::{recover, TaskFault};
+use crate::exec::{Entry, Executor, TaskResult, Watchdog, WorkSet};
+use crate::faults::recover;
 use crate::lock::{state, ConflictPolicy, MAX_LANES};
 use crate::phase::{self, Phase};
 use crate::probe::obs_emit;
 use crate::stats::{RoundStats, RunStats};
-use crate::task::{Abort, Operator, TaskCtx};
+use crate::task::Operator;
 use optpar_core::control::Controller;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -107,6 +113,19 @@ struct Counters {
     /// Tasks retired past the dead-letter budget (subset of
     /// `faulted`, mirroring round mode's accounting).
     dead_lettered: AtomicUsize,
+}
+
+impl Counters {
+    /// `[committed, aborted, faulted, dead_lettered]` so far.
+    fn load(&self) -> [usize; 4] {
+        [
+            &self.committed,
+            &self.aborted,
+            &self.faulted,
+            &self.dead_lettered,
+        ]
+        .map(|c| c.load(Ordering::Acquire))
+    }
 }
 
 /// A task-placement policy for pipelined mode: maps a task to the
@@ -188,11 +207,11 @@ impl<T> ShardedWorkSet<T> {
     /// (feeding the aging prefix on redraw). With a placement the
     /// entry returns to its *affine* shard — not the worker that
     /// happened to steal-execute it — so retries stay shard-local;
-    /// without one it homes on the executing worker's shard.
-    fn requeue(&self, home: usize, e: Entry<T>, place: Option<Placement<'_, T>>) {
+    /// without one it goes to shard `next`.
+    fn requeue(&self, next: usize, e: Entry<T>, place: Option<Placement<'_, T>>) {
         let at = match place {
             Some(p) => p(&e.task),
-            None => home,
+            None => next,
         };
         if let Some(shard) = self.shard(at) {
             recover(shard.lock()).push_entry(Entry {
@@ -282,8 +301,6 @@ impl<O: Operator> Executor<'_, O> {
             MAX_LANES - 1
         );
         let retry_budget = self.config().retry_budget;
-        let dead_budget = self.config().dead_letter_budget;
-        let watchdog = self.config().watchdog_stall;
         let pc = self.phases();
         // Strided slot pool: worker w owns slots
         // [w * batch, (w + 1) * batch), one per batch position, so
@@ -314,57 +331,35 @@ impl<O: Operator> Executor<'_, O> {
         // with the window bookkeeping.
         struct WindowState<'c, C: Controller> {
             ctl: &'c mut C,
-            last_committed: usize,
-            last_aborted: usize,
-            last_faulted: usize,
-            last_dead_lettered: usize,
-            /// Consecutive commit-free windows (watchdog input).
-            stalled: u32,
+            /// `Counters::load` at the last flush.
+            last: [usize; 4],
+            watchdog: Watchdog,
             rounds: Vec<RoundStats>,
         }
         let winstate = Mutex::new(WindowState {
             ctl,
-            last_committed: 0,
-            last_aborted: 0,
-            last_faulted: 0,
-            last_dead_lettered: 0,
-            stalled: 0,
+            last: [0; 4],
+            watchdog: Watchdog::new(self.config().watchdog_stall),
             rounds: Vec::new(),
         });
         let flush = |st: &mut WindowState<'_, C>| {
-            let c = counters.committed.load(Ordering::Acquire);
-            let a = counters.aborted.load(Ordering::Acquire);
-            let f = counters.faulted.load(Ordering::Acquire);
-            let dl = counters.dead_lettered.load(Ordering::Acquire);
-            let dc = c - st.last_committed;
-            let da = a - st.last_aborted;
-            let df = f - st.last_faulted;
-            let ddl = dl - st.last_dead_lettered;
+            let now = counters.load();
+            let ([c, a, f, dl], [lc, la, lf, ldl]) = (now, st.last);
+            let (dc, da, df, ddl) = (c - lc, a - la, f - lf, dl - ldl);
             let launched = dc + da + df;
             if launched == 0 {
                 return;
             }
-            st.last_committed = c;
-            st.last_aborted = a;
-            st.last_faulted = f;
-            st.last_dead_lettered = dl;
+            st.last = now;
             let m = target.load(Ordering::Acquire);
             let r = (da + df) as f64 / launched as f64;
             st.ctl.observe(r, launched);
-            // Zero-commit watchdog: a fixed controller never shrinks,
-            // so after `watchdog` consecutive commit-free windows the
-            // budget is halved per further stalled window, down to 1,
-            // where a lone in-flight task cannot conflict.
-            if dc == 0 {
-                st.stalled += 1;
-            } else {
-                st.stalled = 0;
-            }
-            let mut next = st.ctl.current_m().max(1);
-            if watchdog != u32::MAX && st.stalled >= watchdog {
-                let shift = (st.stalled - watchdog + 1).min(63);
-                next = (next >> shift).max(1);
-            }
+            // A fixed controller never shrinks, so the zero-commit
+            // watchdog halves the budget under sustained commit-free
+            // windows, down to 1, where a lone in-flight task cannot
+            // conflict.
+            st.watchdog.observe(launched, dc);
+            let next = st.watchdog.clamp(st.ctl.current_m().max(1));
             target.store(next, Ordering::Release);
             // Traces deposited by retired batches form complete tag
             // groups by now; the sliding-window audit runs here. (At
@@ -395,10 +390,21 @@ impl<O: Operator> Executor<'_, O> {
             });
         };
 
+        // Nothing to claim or draw: give the CPU away, booked as wait.
+        let idle = || {
+            let t0 = phase::maybe_start(pc);
+            std::thread::yield_now();
+            phase::maybe_add(pc, Phase::Wait, t0);
+        };
         let worker = |w: usize| {
             let mut wrng = StdRng::seed_from_u64(base_seed ^ (w as u64) << 32);
             let probe = self.probe_for(w);
             let lane = w + 1;
+            // This worker's aborted or faulted entries from its last
+            // batch, held back until its next draw has been made, and
+            // the rotation that spreads them over the other shards.
+            let mut retry: Vec<Entry<O::Task>> = Vec::new();
+            let mut rot = w;
             loop {
                 if done.load(Ordering::Acquire) {
                     break;
@@ -417,13 +423,26 @@ impl<O: Operator> Executor<'_, O> {
                     }
                 });
                 if claimed.is_err() {
-                    let t0 = phase::maybe_start(pc);
-                    std::thread::yield_now();
-                    phase::maybe_add(pc, Phase::Wait, t0);
+                    for e in retry.drain(..) {
+                        rot += 1;
+                        shards.requeue(rot, e, place);
+                    }
+                    idle();
                     continue;
                 }
                 let t0 = phase::maybe_start(pc);
                 let batch = shards.draw(w, granted, &mut wrng, retry_budget);
+                // Abort backoff: the last batch's losers re-enter the
+                // shards only after this draw, and (without a
+                // placement) on the next shards in rotation rather
+                // than this worker's own. Retried at once by the same
+                // worker, a loser runs straight back into the live
+                // locks of the holder that beat it, and two tasks that
+                // beat each other retry in lockstep.
+                for e in retry.drain(..) {
+                    rot += 1;
+                    shards.requeue(rot, e, place);
+                }
                 phase::maybe_add(pc, Phase::Draw, t0);
                 let drawn = batch.len();
                 if drawn < granted {
@@ -438,17 +457,15 @@ impl<O: Operator> Executor<'_, O> {
                         done.store(true, Ordering::Release);
                         break;
                     }
-                    let t0 = phase::maybe_start(pc);
-                    std::thread::yield_now();
-                    phase::maybe_add(pc, Phase::Wait, t0);
+                    idle();
                     continue;
                 }
-                // This batch's lane tag: locks taken below are
-                // stamped with it, die wholesale at the retire bump,
-                // and key the fault draw (a retried task re-rolls
-                // under a fresh tag).
+                // Locks taken below carry this lane's current tag and
+                // die wholesale at the retire bump; the tag also keys
+                // the fault draw (a retried task re-rolls under a
+                // fresh tag).
+                #[cfg(feature = "obs")]
                 let tag = self.space().lane_tag(lane);
-                let mut any_aborted = false;
                 let t1 = phase::maybe_start(pc);
                 for (i, entry) in batch.into_iter().enumerate() {
                     let slot = w * stride + i;
@@ -456,172 +473,43 @@ impl<O: Operator> Executor<'_, O> {
                     // requeue arm keeps `live` honest rather than
                     // panicking past containment or leaking the task.
                     let Some(slot_state) = states.get(slot) else {
-                        shards.requeue(w, entry, place);
-                        any_aborted = true;
+                        retry.push(entry);
                         continue;
                     };
                     slot_state.store(state::ACQUIRING, Ordering::Release);
-                    let mut cx = TaskCtx::new_in_lane(
-                        slot,
-                        self.space(),
-                        &states,
-                        ConflictPolicy::FirstWins,
-                        lane,
-                    );
-                    #[cfg(feature = "checker")]
-                    cx.note_seed(self.op().conflict_seed(&entry.task));
-                    cx.attach_probe(probe);
-                    obs_emit!(
-                        probe,
-                        optpar_obs::EventKind::TaskLaunch {
-                            slot: slot as u32,
-                            epoch: self.space().epoch(),
+                    let back = match self.attempt(lane, slot, &entry.task, &states, probe) {
+                        TaskResult::Committed { spawned, .. } => {
+                            // No per-lock release: the whole batch's
+                            // locks expire in O(1) at the retire bump.
+                            counters.committed.fetch_add(1, Ordering::AcqRel);
+                            if !spawned.is_empty() {
+                                live.fetch_add(spawned.len(), Ordering::AcqRel);
+                                shards.spawn(spawned, place);
+                            }
+                            // The committed task leaves the system only
+                            // after its spawns were counted, so `live`
+                            // never transiently reads zero while work
+                            // exists.
+                            live.fetch_sub(1, Ordering::AcqRel);
+                            None
                         }
-                    );
-                    #[cfg(feature = "faults")]
-                    if let Some(plan) = self.fault_plan() {
-                        cx.arm_fault(plan, tag);
-                    }
-                    // Contain operator panics exactly like the round
-                    // executor: roll back, release, re-queue, keep
-                    // the worker.
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| self.op().execute(&entry.task, &mut cx)));
-                    #[cfg(feature = "obs")]
-                    let acquires = cx.acquires;
-                    match outcome {
-                        Ok(Ok(spawned)) => match cx.finish_commit() {
-                            Some(_lockset) => {
-                                // No per-lock release: the whole
-                                // batch's locks expire in O(1) at the
-                                // retire bump below.
-                                counters.committed.fetch_add(1, Ordering::AcqRel);
-                                obs_emit!(
-                                    probe,
-                                    optpar_obs::EventKind::TaskCommit {
-                                        slot: slot as u32,
-                                        acquires: acquires as u32,
-                                        spawned: spawned.len() as u32,
-                                    }
-                                );
-                                let spawned_n = spawned.len();
-                                if spawned_n > 0 {
-                                    live.fetch_add(spawned_n, Ordering::AcqRel);
-                                    shards.spawn(spawned, place);
-                                }
-                                // The committed task leaves the
-                                // system only after its spawns were
-                                // counted, so `live` never
-                                // transiently reads zero while work
-                                // exists.
-                                live.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            None => {
-                                // First-wins tasks cannot be doomed,
-                                // so this is unreachable — book it as
-                                // an abort rather than crashing the
-                                // worker.
-                                counters.aborted.fetch_add(1, Ordering::AcqRel);
-                                obs_emit!(
-                                    probe,
-                                    optpar_obs::EventKind::TaskAbort {
-                                        slot: slot as u32,
-                                        acquires: acquires as u32,
-                                    }
-                                );
-                                shards.requeue(w, entry, place);
-                                any_aborted = true;
-                            }
-                        },
-                        Ok(Err(abort)) => {
-                            #[cfg(feature = "checker")]
-                            if matches!(abort, Abort::Fault) {
-                                cx.note_fault();
-                            }
-                            cx.finish_abort();
-                            if matches!(abort, Abort::Fault) {
-                                counters.faulted.fetch_add(1, Ordering::AcqRel);
-                                obs_emit!(
-                                    probe,
-                                    optpar_obs::EventKind::TaskFault {
-                                        slot: slot as u32,
-                                        cause: crate::faults::FaultCause::Injected.code(),
-                                    }
-                                );
-                                self.log_fault(TaskFault {
-                                    epoch: tag,
-                                    slot: Some(slot),
-                                    cause: crate::faults::FaultCause::Injected,
-                                    detail: "injected spurious abort".to_string(),
-                                });
-                                if entry.retries >= dead_budget {
-                                    // Faulting again at retries ≥ K:
-                                    // retire instead of re-queuing, so
-                                    // an always-faulting task launches
-                                    // at most K + 1 times in this mode
-                                    // too. Leaving `live` is what lets
-                                    // the drain terminate.
-                                    counters.dead_lettered.fetch_add(1, Ordering::AcqRel);
-                                    self.push_dead_letter(crate::faults::DeadLetter {
-                                        epoch: tag,
-                                        slot: Some(slot),
-                                        retries: entry.retries,
-                                        cause: crate::faults::FaultCause::Injected,
-                                        detail: "injected spurious abort".to_string(),
-                                    });
-                                    live.fetch_sub(1, Ordering::AcqRel);
-                                } else {
-                                    shards.requeue(w, entry, place);
-                                    any_aborted = true;
-                                }
-                            } else {
-                                counters.aborted.fetch_add(1, Ordering::AcqRel);
-                                obs_emit!(
-                                    probe,
-                                    optpar_obs::EventKind::TaskAbort {
-                                        slot: slot as u32,
-                                        acquires: acquires as u32,
-                                    }
-                                );
-                                shards.requeue(w, entry, place);
-                                any_aborted = true;
-                            }
+                        TaskResult::Aborted { .. } => {
+                            counters.aborted.fetch_add(1, Ordering::AcqRel);
+                            Some(entry)
                         }
-                        Err(payload) => {
-                            #[cfg(feature = "checker")]
-                            cx.note_fault();
-                            cx.finish_abort();
+                        TaskResult::Faulted { fault, .. } => {
                             counters.faulted.fetch_add(1, Ordering::AcqRel);
-                            let (cause, detail) = crate::faults::classify_panic(payload.as_ref());
-                            obs_emit!(
-                                probe,
-                                optpar_obs::EventKind::TaskFault {
-                                    slot: slot as u32,
-                                    cause: cause.code(),
-                                }
-                            );
-                            self.log_fault(TaskFault {
-                                epoch: tag,
-                                slot: Some(slot),
-                                cause: cause.clone(),
-                                detail: detail.clone(),
-                            });
-                            if entry.retries >= dead_budget {
+                            let back = self.settle_fault(entry, *fault);
+                            if back.is_none() {
+                                // Retired: leaving `live` is what lets
+                                // the drain terminate.
                                 counters.dead_lettered.fetch_add(1, Ordering::AcqRel);
-                                self.push_dead_letter(crate::faults::DeadLetter {
-                                    epoch: tag,
-                                    slot: Some(slot),
-                                    retries: entry.retries,
-                                    cause,
-                                    detail,
-                                });
                                 live.fetch_sub(1, Ordering::AcqRel);
-                            } else {
-                                shards.requeue(w, entry, place);
-                                any_aborted = true;
                             }
+                            back
                         }
-                    }
+                    };
+                    retry.extend(back);
                 }
                 phase::maybe_add(pc, Phase::Execute, t1);
                 // Retire: one lane bump frees every committed lock
@@ -649,26 +537,21 @@ impl<O: Operator> Executor<'_, O> {
                     done.store(true, Ordering::Release);
                     break;
                 }
-                if any_aborted {
-                    // Abort backoff: let the conflicting holder's
-                    // batch retire before retrying against its live
-                    // locks.
+                if !retry.is_empty() {
+                    // Give the conflicting holder's worker the CPU
+                    // before drawing again.
                     std::thread::yield_now();
                 }
             }
-        };
-        // Dispatch on the executor's persistent pool; workers == 1
-        // runs inline on the calling thread. A retired pool (shut down
-        // under us) degrades to the same inline path: the claim loop
-        // drains every shard to completion either way.
-        match self.pool() {
-            Some(pool) => {
-                if pool.run(&worker).is_err() {
-                    worker(0);
-                }
+            // A stop mid-run (`max_completions`) leaves the held-back
+            // entries pending, not lost.
+            for e in retry {
+                shards.requeue(w, e, place);
             }
-            None => worker(0),
-        }
+        };
+        // Worker 0 alone (one worker, or a retired pool) drains every
+        // shard to completion through the same loop.
+        self.dispatch(&worker);
         // Flush the final partial window.
         let mut st = recover(winstate.into_inner());
         flush(&mut st);
@@ -694,34 +577,12 @@ impl<O: Operator> Executor<'_, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::tests::{exec_cfg, PanicOnceOp, RingOp};
     use crate::exec::ExecutorConfig;
     use crate::lock::LockSpace;
     use crate::store::SpecStore;
+    use crate::task::{Abort, TaskCtx};
     use optpar_core::control::{FixedController, HybridController};
-
-    /// Ring operator: task i touches slots i and i+1.
-    struct RingOp<'s> {
-        store: &'s SpecStore<i64>,
-        n: usize,
-    }
-
-    impl Operator for RingOp<'_> {
-        type Task = usize;
-        fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-            let j = (i + 1) % self.n;
-            *cx.write(self.store, i)? += 1;
-            *cx.write(self.store, j)? -= 1;
-            Ok(vec![])
-        }
-    }
-
-    fn exec_cfg(workers: usize) -> ExecutorConfig {
-        ExecutorConfig {
-            workers,
-            policy: ConflictPolicy::FirstWins,
-            ..ExecutorConfig::default()
-        }
-    }
 
     #[test]
     fn pipelined_drains_and_serializes() {
@@ -1197,27 +1058,6 @@ mod tests {
         // lower bound on it.
     }
 
-    /// Ring operator that panics exactly once, on first sight of
-    /// task 7.
-    struct PanicOnceRing<'s> {
-        store: &'s SpecStore<i64>,
-        n: usize,
-        armed: AtomicBool,
-    }
-
-    impl Operator for PanicOnceRing<'_> {
-        type Task = usize;
-        fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-            if i == 7 && self.armed.swap(false, Ordering::AcqRel) {
-                panic!("pipelined op blew up on task 7");
-            }
-            let j = (i + 1) % self.n;
-            *cx.write(self.store, i)? += 1;
-            *cx.write(self.store, j)? -= 1;
-            Ok(vec![])
-        }
-    }
-
     #[test]
     fn pipelined_contains_operator_panics() {
         let n = 64;
@@ -1225,7 +1065,7 @@ mod tests {
         let r = b.region(n);
         let space = b.build();
         let store = SpecStore::filled(r, n, 0i64);
-        let op = PanicOnceRing {
+        let op = PanicOnceOp {
             store: &store,
             n,
             armed: AtomicBool::new(true),
@@ -1253,7 +1093,7 @@ mod tests {
         assert_eq!(run.total_faulted(), 1);
         assert_eq!(ex.fault_count(), 1);
         let faults = ex.take_faults();
-        assert!(faults[0].detail.contains("pipelined op blew up"));
+        assert!(faults[0].detail.contains("op blew up on task 13"));
         assert_eq!(ex.worker_panics(), 0, "the panic never reached the pool");
         assert!(
             space.check_all_free().is_ok(),
@@ -1262,15 +1102,6 @@ mod tests {
         let mut store = store;
         assert_eq!(store.snapshot().iter().sum::<i64>(), 0);
     }
-}
-
-#[cfg(test)]
-mod stress_tests {
-    use super::*;
-    use crate::exec::ExecutorConfig;
-    use crate::lock::LockSpace;
-    use crate::store::SpecStore;
-    use optpar_core::control::FixedController;
 
     /// High-contention operator: every task touches slot 0.
     struct HotSpot<'s> {
@@ -1291,15 +1122,7 @@ mod stress_tests {
         let space = b.build();
         let store = SpecStore::filled(r, 1, 0i64);
         let op = HotSpot { store: &store };
-        let ex = Executor::new(
-            &op,
-            &space,
-            ExecutorConfig {
-                workers: 4,
-                policy: ConflictPolicy::FirstWins,
-                ..ExecutorConfig::default()
-            },
-        );
+        let ex = Executor::new(&op, &space, exec_cfg(4));
         let n = 200;
         let mut ws = WorkSet::from_vec((1..=n).collect::<Vec<_>>());
         let mut ctl = FixedController::new(8);

@@ -545,8 +545,11 @@ mod tests {
                     };
                     pool_ref.run(&job).expect("live pool");
                 });
-                // Wait for the publish, then race the teardown.
-                while recover(pool_ref.shared.state.lock()).job.is_none() {
+                // Wait for the publish, then race the teardown. `seq`
+                // stays bumped once published; `job` is cleared again
+                // when the job finishes, so waiting on it could miss a
+                // job that ran to completion before this thread looked.
+                while recover(pool_ref.shared.state.lock()).seq == 0 {
                     std::thread::yield_now();
                 }
                 let wedged = pool_ref.shutdown(Duration::from_secs(5));

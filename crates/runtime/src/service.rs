@@ -49,7 +49,7 @@
 //! phase module), no slice indexing, and all OS threads are scoped or
 //! come from the pool.
 
-use crate::exec::{Executor, ExecutorConfig, WorkSet};
+use crate::exec::{Executor, ExecutorConfig, Watchdog, WorkSet};
 use crate::faults::{panic_detail, recover, DeadLetter, TaskFault};
 use crate::lock::{ConflictPolicy, LockSpace};
 use crate::phase::{Deadline, Stopwatch};
@@ -886,7 +886,7 @@ impl JobCx<'_> {
                 .with_spurious_abort_rate(c.spurious_rate)
                 .with_delay_rate(c.delay_rate, c.delay_spins)
         });
-        let mut stalled: u32 = 0;
+        let mut watchdog = Watchdog::new(self.shared.cfg.watchdog_stall);
         let mut rounds_this_drive: usize = 0;
         let mut dead_this_drive: usize = 0;
         let result = loop {
@@ -904,14 +904,10 @@ impl JobCx<'_> {
             if self.deadline_expired() {
                 break Err(JobError::DeadlineExceeded);
             }
-            let mut m = ctl.current_m();
-            if stalled >= self.shared.cfg.watchdog_stall {
-                let excess = (stalled - self.shared.cfg.watchdog_stall)
-                    .saturating_add(1)
-                    .min(63);
-                m = (m >> excess).max(1);
-            }
-            m = m.min(self.budget_slice()).max(1);
+            let m = watchdog
+                .clamp(ctl.current_m())
+                .min(self.budget_slice())
+                .max(1);
             let pool = { recover(self.shared.pool.lock()).clone() };
             let cfg = &self.shared.cfg;
             let ecfg = ExecutorConfig {
@@ -941,11 +937,7 @@ impl JobCx<'_> {
             for dl in ex.take_dead_letters() {
                 self.acc.dead_letters.push((drive, dl));
             }
-            stalled = if rs.launched > 0 && rs.committed == 0 {
-                stalled.saturating_add(1)
-            } else {
-                0
-            };
+            watchdog.observe(rs.launched, rs.committed);
             ctl.observe(rs.pressure_ratio(), rs.launched);
             if rs.launched > 0 {
                 self.shared.observe_pressure(rs.pressure_ratio());
@@ -1276,28 +1268,12 @@ fn detach_wedged(shared: &Shared, lane: &LaneState) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::tests::RingOp;
     use crate::store::SpecStore;
     use crate::task::{Abort, TaskCtx};
     use optpar_core::control::FixedController;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// Ring op from the exec tests: task `i` increments `i` and
-    /// decrements `i+1`; adjacent tasks conflict.
-    struct RingOp<'s> {
-        store: &'s SpecStore<i64>,
-        n: usize,
-    }
-
-    impl Operator for RingOp<'_> {
-        type Task = usize;
-        fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-            let j = (i + 1) % self.n;
-            *cx.write(self.store, i)? += 1;
-            *cx.write(self.store, j)? -= 1;
-            Ok(vec![])
-        }
-    }
 
     /// A complete ring job: builds everything inside the closure so it
     /// is `'static`, drives, and verifies the invariant (sum == 0 and

@@ -370,7 +370,11 @@ mod tests {
         assert_eq!(s.lock_of(2), s.lock_of(0) + 1);
         assert_eq!(s.shard_of(0), 0);
         assert_eq!(s.shard_of(1), 1);
-        assert_ne!(s.lock_of(0) / 64, s.lock_of(1) / 64, "shard slabs share a line");
+        assert_ne!(
+            s.lock_of(0) / 64,
+            s.lock_of(1) / 64,
+            "shard slabs share a line"
+        );
     }
 
     #[test]

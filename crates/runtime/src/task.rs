@@ -93,7 +93,7 @@ pub struct TaskCtx<'rt> {
     states: &'rt [AtomicU8],
     policy: ConflictPolicy,
     /// The lane tag stamped onto every lock word this task acquires:
-    /// lane 0's current epoch for round/continuous tasks, the owning
+    /// lane 0's current epoch for round tasks, the owning
     /// worker's lane tag for pipelined tasks. Cached at construction —
     /// a task's lane epoch cannot advance while the task runs.
     tag: u64,
@@ -484,9 +484,10 @@ impl<'rt> TaskCtx<'rt> {
     /// them, exactly as in the paper's model (a node aborts iff a
     /// neighbour *committed* in the same round). The round-based
     /// executor expires these locks wholesale with its end-of-round
-    /// epoch bump ([`LockSpace::advance_epoch`]); the continuous
-    /// executor releases them explicitly. Returns `None` (after
-    /// rolling back) if the task was doomed.
+    /// epoch bump ([`LockSpace::advance_epoch`]); the pipelined
+    /// executor with its batch's lane bump
+    /// ([`LockSpace::advance_lane`]). Returns `None` (after rolling
+    /// back) if the task was doomed.
     pub(crate) fn finish_commit(mut self) -> Option<Vec<usize>> {
         let committed = self.states[self.slot]
             .compare_exchange(

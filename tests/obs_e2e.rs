@@ -20,7 +20,7 @@ use optpar::core::control::{Controller, HybridController, HybridParams};
 use optpar::graph::gen;
 use optpar::runtime::obs::{export, validate, EventKind, EventLog, ObsConfig, RoundCheck};
 use optpar::runtime::{
-    Abort, ConflictPolicy, Executor, ExecutorConfig, Operator, TaskCtx, WorkSet,
+    Abort, ConflictPolicy, Executor, ExecutorConfig, Operator, PipelinedConfig, TaskCtx, WorkSet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,11 +192,11 @@ fn single_worker_trace_is_byte_deterministic() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite 3: continuous-mode controller convergence, read from the
+// Satellite 3: barrier-free controller convergence, read from the
 // trace's controller track
 // ---------------------------------------------------------------------
 
-/// Boruvka with artificially long merges. Continuous-mode conflicts
+/// Boruvka with artificially long merges. Barrier-free conflicts
 /// require *temporal* overlap between in-flight tasks; real component
 /// merges finish in microseconds, so an unmodified operator produces
 /// an almost conflict-free trace no matter what budget the controller
@@ -219,7 +219,8 @@ impl Operator for SlowBoruvka {
     }
 }
 
-/// One continuous-mode run; returns Ok(()) when the controller track
+/// One pipelined run at batch 1 (every task retires its locks as soon
+/// as it finishes); returns Ok(()) when the controller track
 /// shows convergence to the ρ band, Err(diagnostic) otherwise.
 fn convergence_attempt(rho: f64, seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -236,8 +237,17 @@ fn convergence_attempt(rho: f64, seed: u64) -> Result<(), String> {
         m_max: 64,
         ..HybridParams::default()
     });
-    let _ = ex.run_continuous(&mut ws, &mut ctl, 16, 1_000_000, &mut rng);
-    assert!(ws.is_empty(), "continuous run did not drain");
+    let _ = ex.run_pipelined(
+        &mut ws,
+        &mut ctl,
+        PipelinedConfig {
+            window: 16,
+            batch: 1,
+            max_completions: 1_000_000,
+        },
+        &mut rng,
+    );
+    assert!(ws.is_empty(), "pipelined run did not drain");
 
     let log = ex.recorder().expect("recorder enabled").snapshot();
     let series: Vec<f64> = log
@@ -290,13 +300,13 @@ fn convergence_attempt(rho: f64, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Continuous-mode scheduling is real-time concurrent — which tasks
+/// Barrier-free scheduling is real-time concurrent — which tasks
 /// overlap depends on thread timing, so any single run can land a cold
 /// draw on a loaded machine. The controller only has to demonstrate
 /// convergence on one of a few independent seeds; a regression that
 /// breaks the steering loop fails all of them.
 #[test]
-fn continuous_controller_converges_to_rho_band() {
+fn pipelined_controller_converges_to_rho_band() {
     const RHO: f64 = 0.25;
     let mut failures = Vec::new();
     for seed in [8u64, 7, 11, 6] {
