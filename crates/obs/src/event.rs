@@ -112,12 +112,14 @@ pub enum EventKind {
         /// Epoch after the bump (`old + 1`, wrapping).
         new: u64,
     },
-    /// Controller state after observing a round: chosen `m`, measured
-    /// pressure ratio `r̄`, and target `ρ` as IEEE-754 bits
-    /// (`rho_bits` is `f64::NAN.to_bits()` when the controller has no
-    /// target).
+    /// Controller state after observing a round (or pipelined
+    /// window): applied `m`, measured pressure ratio `r̄`, and target
+    /// `ρ` as IEEE-754 bits (`rho_bits` is `f64::NAN.to_bits()` when
+    /// the controller has no target).
     Controller {
-        /// Allocation the controller will use next round.
+        /// Allocation the next round (or window) runs at: the
+        /// controller's choice after the zero-commit watchdog's clamp,
+        /// in every mode.
         m: u64,
         /// Measured pressure ratio `r̄`, as `f64::to_bits`.
         r_bits: u64,

@@ -37,9 +37,17 @@
 //! the checker trace and the obs events exist there once. Round tasks
 //! run in lock lane 0 under the round epoch; pipelined worker `w` runs
 //! its batches in lane `w + 1` under the lane's batch tag. Callers
-//! fold the returned outcome into their own counters, settle a fault
-//! through `Executor::settle_fault` (dead-letter or re-queue), and
-//! clamp their allocation through one zero-commit `Watchdog`.
+//! fold the returned outcome into their own counters and settle a
+//! fault through `Executor::settle_fault` (dead-letter or re-queue).
+//!
+//! Above the kernel sit one controller step and one round loop.
+//! `Executor::controller_step` (observe `(r̄, launched)`, fold the
+//! zero-commit `Watchdog`, clamp the next `m`, emit the obs
+//! `Controller` event) serves the round loop and the pipelined window
+//! flush alike. The loop behind [`Executor::run_with_controller`] is
+//! the only round driver: the job service's `JobCx::drive` runs it
+//! through a `RoundHook` that can stop the drive, cap `m`, and book
+//! each round.
 
 use crate::faults::{FaultCause, FaultLog, TaskFault};
 use crate::lock::{state, ConflictPolicy, LockSpace};
@@ -53,7 +61,7 @@ use rand::Rng;
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// One pending task plus its retry bookkeeping.
 #[derive(Clone, Debug)]
@@ -136,11 +144,6 @@ impl<T> WorkSet<T> {
     /// Is the work-set drained?
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
-    }
-
-    /// The largest retry count among pending tasks (0 when empty).
-    pub fn max_retries(&self) -> u32 {
-        self.tasks.iter().map(|e| e.retries).max().unwrap_or(0)
     }
 
     /// Core of the sampler: remove `min(m, len)` entries drawn
@@ -320,26 +323,42 @@ impl Watchdog {
 }
 
 /// How an executor reaches its worker threads: none (inline), an
-/// owned pool (the classic standalone construction), or a borrowed
-/// pool shared with other executors (the job-service construction,
-/// where one persistent pool outlives many short-lived executors).
+/// owned pool (the standalone construction), or the job service's
+/// swappable pool, which outlives every job's executor.
 enum PoolHandle<'a> {
     /// `workers == 1`: inline execution, no threads at all.
     Inline,
     /// Pool created by and torn down with this executor.
-    Owned(WorkerPool),
-    /// Pool borrowed from a longer-lived owner (e.g. `JobService`);
-    /// dropping the executor leaves it running.
-    Shared(&'a WorkerPool),
+    Owned(Arc<WorkerPool>),
+    /// The service's current pool, re-read for every dispatch: a
+    /// supervisor swap takes effect at the executor's next round.
+    Service(&'a Mutex<Arc<WorkerPool>>),
 }
 
-impl PoolHandle<'_> {
-    fn get(&self) -> Option<&WorkerPool> {
-        match self {
-            PoolHandle::Inline => None,
-            PoolHandle::Owned(p) => Some(p),
-            PoolHandle::Shared(p) => Some(p),
-        }
+/// A client of the one round loop: at every round boundary (no locks
+/// or tasks in flight) it may stop the drive or cap the round's `m`,
+/// and it books every finished round.
+pub(crate) trait RoundHook {
+    /// Why the hook stopped a drive.
+    type Stop;
+
+    /// Called before each round: `Err` stops the drive here, `Ok(cap)`
+    /// caps the round's allocation (no cap by default).
+    fn boundary(&mut self) -> Result<usize, Self::Stop> {
+        Ok(usize::MAX)
+    }
+
+    /// Book one finished round (`ex` lends its fault log and
+    /// dead-letter list).
+    fn book<O: Operator>(&mut self, ex: &Executor<'_, O>, rs: RoundStats);
+}
+
+/// The plain client: no stops, no cap, every round kept.
+impl RoundHook for RunStats {
+    type Stop = std::convert::Infallible;
+
+    fn book<O: Operator>(&mut self, _ex: &Executor<'_, O>, rs: RoundStats) {
+        self.rounds.push(rs);
     }
 }
 
@@ -379,7 +398,7 @@ impl<O: Operator> std::fmt::Debug for Executor<'_, O> {
         f.debug_struct("Executor")
             .field("workers", &self.cfg.workers)
             .field("policy", &self.cfg.policy)
-            .field("pooled", &self.pool.get().is_some())
+            .field("pooled", &!matches!(self.pool, PoolHandle::Inline))
             .finish_non_exhaustive()
     }
 }
@@ -421,26 +440,27 @@ impl<'a, O: Operator> Executor<'a, O> {
     pub fn new(op: &'a O, space: &'a LockSpace, cfg: ExecutorConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
         let pool = if cfg.workers > 1 {
-            PoolHandle::Owned(WorkerPool::new(cfg.workers))
+            PoolHandle::Owned(Arc::new(WorkerPool::new(cfg.workers)))
         } else {
             PoolHandle::Inline
         };
         Self::with_handle(op, space, cfg, pool)
     }
 
-    /// Pair an operator with its lock space, executing on a *borrowed*
-    /// pool instead of spawning one. `cfg.workers` is overridden by
-    /// the pool's thread count; dropping the executor leaves the pool
-    /// running, so many short-lived executors (one per job, per
-    /// round) can time-slice one persistent pool.
-    pub fn with_pool(
+    /// Pair an operator with its lock space, executing on the job
+    /// service's swappable pool instead of spawning one. `cfg.workers`
+    /// is overridden by the pool's thread count (a replacement pool
+    /// has the same count); each round dispatches on whichever pool is
+    /// current when it starts, and dropping the executor leaves the
+    /// pool running.
+    pub(crate) fn with_pool(
         op: &'a O,
         space: &'a LockSpace,
         mut cfg: ExecutorConfig,
-        pool: &'a WorkerPool,
+        pool: &'a Mutex<Arc<WorkerPool>>,
     ) -> Self {
-        cfg.workers = pool.workers();
-        Self::with_handle(op, space, cfg, PoolHandle::Shared(pool))
+        cfg.workers = crate::faults::recover(pool.lock()).workers();
+        Self::with_handle(op, space, cfg, PoolHandle::Service(pool))
     }
 
     fn with_handle(
@@ -489,23 +509,6 @@ impl<'a, O: Operator> Executor<'a, O> {
         crate::faults::recover(self.faults.lock()).drain()
     }
 
-    /// Faults dropped by the bounded log because its undrained buffer
-    /// was full (monotone; see [`FaultLog::dropped`]).
-    pub fn dropped_faults(&self) -> usize {
-        crate::faults::recover(self.faults.lock()).dropped()
-    }
-
-    /// Replace the fault log with an empty one bounded at `cap`
-    /// undrained entries (long-running services drain rarely; the
-    /// default [`crate::faults::DEFAULT_FAULT_LOG_CAP`] applies
-    /// otherwise). Any undrained entries are returned.
-    pub fn set_fault_log_capacity(&self, cap: usize) -> Vec<TaskFault> {
-        let mut log = crate::faults::recover(self.faults.lock());
-        let old = log.drain();
-        *log = FaultLog::with_capacity(cap);
-        old
-    }
-
     /// Drain and return the dead-letter list: tasks that faulted past
     /// [`ExecutorConfig::dead_letter_budget`] and were retired from
     /// the work-set instead of re-queued.
@@ -518,17 +521,26 @@ impl<'a, O: Operator> Executor<'a, O> {
         crate::faults::recover(self.faults.lock()).push(fault);
     }
 
+    /// The pool to dispatch the next round (or pipelined run) on.
+    pub(crate) fn current_pool(&self) -> Option<Arc<WorkerPool>> {
+        match &self.pool {
+            PoolHandle::Inline => None,
+            PoolHandle::Owned(p) => Some(Arc::clone(p)),
+            PoolHandle::Service(p) => Some(Arc::clone(&*crate::faults::recover(p.lock()))),
+        }
+    }
+
     /// Worker threads still alive in the pool (`None` for inline
     /// execution, which has no threads). Panic containment keeps this
     /// at `workers` even under injected panics.
     pub fn live_workers(&self) -> Option<usize> {
-        self.pool.get().map(WorkerPool::live_workers)
+        self.current_pool().map(|p| p.live_workers())
     }
 
     /// Worker-level job panics that escaped the per-task containment
     /// (should stay 0: operator panics are caught inside the round).
     pub fn worker_panics(&self) -> u64 {
-        self.pool.get().map_or(0, WorkerPool::job_panics)
+        self.current_pool().map_or(0, |p| p.job_panics())
     }
 
     /// The lock space this executor arbitrates over.
@@ -646,6 +658,9 @@ impl<'a, O: Operator> Executor<'a, O> {
         }
         // Slot indices must fit the 32-bit owner field of a lock word.
         assert!(launched < u32::MAX as usize, "round too large");
+        // Read the pool before taking `scratch`, so the service pool's
+        // mutex never nests inside it.
+        let pool = self.current_pool();
         let mut scratch = match self.scratch.lock() {
             Ok(g) => g,
             Err(poisoned) => {
@@ -686,7 +701,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         // rendezvous is the design (workers access the cells lock-free
         // via the `states` borrow), and no other thread ever takes
         // `scratch` while a round is in flight.
-        let results = self.run_batch(&batch, states);
+        let results = self.run_batch(pool.as_deref(), &batch, states);
         drop(scratch);
 
         self.merge_round(ws, m, batch, results)
@@ -807,25 +822,53 @@ impl<'a, O: Operator> Executor<'a, O> {
         rng: &mut R,
     ) -> RunStats {
         let mut run = RunStats::default();
+        let Ok(()) = self.drive_rounds(ws, ctl, max_rounds, rng, &mut run);
+        run
+    }
+
+    /// The one round loop: rounds until the work-set drains or
+    /// `max_rounds` have run, each at the allocation the last
+    /// [`Executor::controller_step`] picked, capped by `hook`.
+    pub(crate) fn drive_rounds<C: Controller, R: Rng + ?Sized, H: RoundHook>(
+        &self,
+        ws: &mut WorkSet<O::Task>,
+        ctl: &mut C,
+        max_rounds: usize,
+        rng: &mut R,
+        hook: &mut H,
+    ) -> Result<(), H::Stop> {
         let mut watchdog = Watchdog::new(self.cfg.watchdog_stall);
+        let mut m = ctl.current_m().max(1);
         for _ in 0..max_rounds {
             if ws.is_empty() {
                 break;
             }
-            let rs = self.run_round(ws, watchdog.clamp(ctl.current_m()), rng);
-            watchdog.observe(rs.launched, rs.committed);
-            ctl.observe(rs.pressure_ratio(), rs.launched);
-            #[cfg(feature = "obs")]
-            if let Some(rec) = self.recorder.as_ref() {
-                rec.controller(
-                    ctl.current_m() as u64,
-                    rs.pressure_ratio(),
-                    ctl.target_rho(),
-                );
-            }
-            run.rounds.push(rs);
+            let rs = self.run_round(ws, m.min(hook.boundary()?), rng);
+            m = self.controller_step(ctl, &mut watchdog, &rs);
+            hook.book(self, rs);
         }
-        run
+        Ok(())
+    }
+
+    /// The one controller step (round loop and pipelined window
+    /// flush): the controller and the zero-commit watchdog observe the
+    /// finished step, and the next allocation — the controller's `m`
+    /// (floor 1) under the watchdog's clamp — is returned and carried
+    /// by the obs `Controller` event.
+    pub(crate) fn controller_step<C: Controller>(
+        &self,
+        ctl: &mut C,
+        watchdog: &mut Watchdog,
+        rs: &RoundStats,
+    ) -> usize {
+        ctl.observe(rs.pressure_ratio(), rs.launched);
+        watchdog.observe(rs.launched, rs.committed);
+        let next = watchdog.clamp(ctl.current_m().max(1));
+        #[cfg(feature = "obs")]
+        if let Some(rec) = self.recorder.as_ref() {
+            rec.controller(next as u64, rs.pressure_ratio(), ctl.target_rho());
+        }
+        next
     }
 
     /// Run one task attempt under panic containment: the only place
@@ -984,14 +1027,15 @@ impl<'a, O: Operator> Executor<'a, O> {
         (!retire).then_some(entry)
     }
 
-    /// Run `job(w)` once on every pool worker `w` and wait for all of
-    /// them; with one worker, run `job(0)` on the calling thread. A pool
-    /// retired under us (the service supervisor swaps pools when
-    /// detaching a wedged job, and a round can hold the old Arc across
-    /// that swap) ran nothing, so `job(0)` then drains the whole batch
-    /// inline; the caller picks up the replacement pool next time.
-    pub(crate) fn dispatch(&self, job: &(dyn Fn(usize) + Sync)) {
-        let ran = match self.pool.get() {
+    /// Run `job(w)` once on every worker `w` of `pool` (this
+    /// executor's current pool) and wait for all of them; with one
+    /// worker, run `job(0)` on the calling thread. A pool retired under
+    /// us (the service supervisor swaps pools when detaching a wedged
+    /// job, and a round can hold the old Arc across that swap) ran
+    /// nothing, so `job(0)` then drains the whole batch inline; the
+    /// next round reads the replacement pool.
+    pub(crate) fn dispatch(&self, pool: Option<&WorkerPool>, job: &(dyn Fn(usize) + Sync)) {
+        let ran = match pool {
             Some(pool) if self.cfg.workers > 1 => pool.run(job).is_ok(),
             _ => false,
         };
@@ -1022,7 +1066,12 @@ impl<'a, O: Operator> Executor<'a, O> {
     /// Run one round's batch: chunked index claiming, results into
     /// pre-indexed slots (no sort). With one worker the chunks run in
     /// order on the calling thread, so the round stays deterministic.
-    fn run_batch(&self, batch: &[Entry<O::Task>], states: &[AtomicU8]) -> Vec<TaskResult<O::Task>> {
+    fn run_batch(
+        &self,
+        pool: Option<&WorkerPool>,
+        batch: &[Entry<O::Task>],
+        states: &[AtomicU8],
+    ) -> Vec<TaskResult<O::Task>> {
         let n = batch.len();
         // Chunked claiming: ~8 chunks per worker balances the tail
         // (large final chunks straggle) against counter contention
@@ -1053,7 +1102,7 @@ impl<'a, O: Operator> Executor<'a, O> {
         };
         let exec_before = pc.map(|c| c.snapshot().execute_ns);
         let t_wall = phase::maybe_start(pc);
-        self.dispatch(&job);
+        self.dispatch(pool, &job);
         // Wait = worker-seconds the rendezvous held that nobody spent
         // executing (the barrier's straggler cost).
         if let (Some(c), Some(before)) = (pc, exec_before) {
@@ -1117,6 +1166,12 @@ pub(crate) mod tests {
         (b.build(), r)
     }
 
+    /// A lock space with one `n`-slot region and a zeroed store over it.
+    pub(crate) fn ring_store(n: usize) -> (LockSpace, SpecStore<i64>) {
+        let (space, r) = ring_setup(n);
+        (space, SpecStore::filled(r, n, 0i64))
+    }
+
     #[test]
     fn workset_sampling() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -1158,8 +1213,7 @@ pub(crate) mod tests {
     fn phase_clock_accumulates_round_phases() {
         let mut rng = StdRng::seed_from_u64(33);
         let n = 128;
-        let (space, r) = ring_setup(n);
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let clock = crate::phase::PhaseClock::new();
         let mut ex = Executor::new(&op, &space, exec_cfg(2));
@@ -1184,8 +1238,7 @@ pub(crate) mod tests {
     fn sequential_round_conserves_sum() {
         let mut rng = StdRng::seed_from_u64(2);
         let n = 16;
-        let (space, r) = ring_setup(n);
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(1));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
@@ -1209,8 +1262,7 @@ pub(crate) mod tests {
         // never a torn half-update.
         let mut rng = StdRng::seed_from_u64(3);
         let n = 64;
-        let (space, r) = ring_setup(n);
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(8));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
@@ -1230,8 +1282,7 @@ pub(crate) mod tests {
     fn parallel_priority_policy_also_serializable() {
         let mut rng = StdRng::seed_from_u64(4);
         let n = 64;
-        let (space, r) = ring_setup(n);
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(
             &op,
@@ -1257,8 +1308,7 @@ pub(crate) mod tests {
     fn controller_drives_to_completion() {
         let mut rng = StdRng::seed_from_u64(5);
         let n = 128;
-        let (space, r) = ring_setup(n);
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, ExecutorConfig::default());
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
@@ -1453,8 +1503,7 @@ pub(crate) mod tests {
     fn operator_panic_is_contained_sequentially() {
         let mut rng = StdRng::seed_from_u64(21);
         let n = 16;
-        let (space, r) = ring_setup(n);
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = PanicOnceOp {
             store: &store,
             n,
@@ -1492,8 +1541,7 @@ pub(crate) mod tests {
     fn operator_panic_keeps_workers_alive() {
         let mut rng = StdRng::seed_from_u64(22);
         let n = 64;
-        let (space, r) = ring_setup(n);
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = PanicOnceOp {
             store: &store,
             n,
@@ -1567,18 +1615,20 @@ pub(crate) mod tests {
         );
     }
 
+    /// Never commits: every execution requests an abort, so every
+    /// round (or window) is a zero-commit one.
+    pub(crate) struct NeverOp;
+
+    impl Operator for NeverOp {
+        type Task = usize;
+
+        fn execute(&self, _: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+            cx.abort_requested()
+        }
+    }
+
     #[test]
     fn watchdog_shrinks_m_to_one_under_stall() {
-        // An operator that never commits: every execution requests an
-        // abort, so every round is a zero-commit round.
-        struct NeverOp;
-        impl Operator for NeverOp {
-            type Task = usize;
-            fn execute(&self, _: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-                cx.abort_requested()?;
-                Ok(vec![])
-            }
-        }
         let (space, _r) = ring_setup(1);
         let op = NeverOp;
         let ex = Executor::new(
@@ -1609,14 +1659,6 @@ pub(crate) mod tests {
 
     #[test]
     fn disabled_watchdog_never_overrides() {
-        struct NeverOp;
-        impl Operator for NeverOp {
-            type Task = usize;
-            fn execute(&self, _: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-                cx.abort_requested()?;
-                Ok(vec![])
-            }
-        }
         let (space, _r) = ring_setup(1);
         let op = NeverOp;
         let ex = Executor::new(

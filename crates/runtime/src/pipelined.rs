@@ -351,15 +351,21 @@ impl<O: Operator> Executor<'_, O> {
                 return;
             }
             st.last = now;
-            let m = target.load(Ordering::Acquire);
-            let r = (da + df) as f64 / launched as f64;
-            st.ctl.observe(r, launched);
-            // A fixed controller never shrinks, so the zero-commit
-            // watchdog halves the budget under sustained commit-free
-            // windows, down to 1, where a lone in-flight task cannot
-            // conflict.
-            st.watchdog.observe(launched, dc);
-            let next = st.watchdog.clamp(st.ctl.current_m().max(1));
+            let rs = RoundStats {
+                m: target.load(Ordering::Acquire),
+                launched,
+                committed: dc,
+                aborted: da,
+                faulted: df,
+                spawned: 0,
+                lock_acquires: 0,
+                dead_lettered: ddl,
+            };
+            // A fixed controller never shrinks, so the step's
+            // zero-commit watchdog halves the budget under sustained
+            // commit-free windows, down to 1, where a lone in-flight
+            // task cannot conflict.
+            let next = self.controller_step(st.ctl, &mut st.watchdog, &rs);
             target.store(next, Ordering::Release);
             // Traces deposited by retired batches form complete tag
             // groups by now; the sliding-window audit runs here. (At
@@ -371,23 +377,13 @@ impl<O: Operator> Executor<'_, O> {
             #[cfg(feature = "obs")]
             if let Some(rec) = self.recorder() {
                 rec.drain_workers();
-                rec.controller(next as u64, r, st.ctl.target_rho());
                 rec.window_advance(
                     completions.load(Ordering::Acquire) as u64,
                     inflight.load(Ordering::Acquire) as u64,
                     next as u64,
                 );
             }
-            st.rounds.push(RoundStats {
-                m,
-                launched,
-                committed: dc,
-                aborted: da,
-                faulted: df,
-                spawned: 0,
-                lock_acquires: 0,
-                dead_lettered: ddl,
-            });
+            st.rounds.push(rs);
         };
 
         // Nothing to claim or draw: give the CPU away, booked as wait.
@@ -551,7 +547,7 @@ impl<O: Operator> Executor<'_, O> {
         };
         // Worker 0 alone (one worker, or a retired pool) drains every
         // shard to completion through the same loop.
-        self.dispatch(&worker);
+        self.dispatch(self.current_pool().as_deref(), &worker);
         // Flush the final partial window.
         let mut st = recover(winstate.into_inner());
         flush(&mut st);
@@ -577,7 +573,7 @@ impl<O: Operator> Executor<'_, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::tests::{exec_cfg, PanicOnceOp, RingOp};
+    use crate::exec::tests::{exec_cfg, ring_store, NeverOp, PanicOnceOp, RingOp};
     use crate::exec::ExecutorConfig;
     use crate::lock::LockSpace;
     use crate::store::SpecStore;
@@ -587,10 +583,7 @@ mod tests {
     #[test]
     fn pipelined_drains_and_serializes() {
         let n = 256;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(4));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
@@ -616,10 +609,7 @@ mod tests {
     #[test]
     fn pipelined_with_adaptive_controller() {
         let n = 512;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(3));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
@@ -642,10 +632,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "first-wins")]
     fn pipelined_rejects_priority_policy() {
-        let mut b = LockSpace::builder();
-        let r = b.region(1);
-        let space = b.build();
-        let store = SpecStore::filled(r, 1, 0i64);
+        let (space, store) = ring_store(1);
         let op = RingOp {
             store: &store,
             n: 1,
@@ -668,10 +655,7 @@ mod tests {
     #[test]
     fn pipelined_single_worker_is_conflict_free_at_budget_one() {
         let n = 64;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(1));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
@@ -696,10 +680,7 @@ mod tests {
     #[test]
     fn budget_one_admits_one_task_at_a_time() {
         let n = 64;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(4));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
@@ -737,10 +718,7 @@ mod tests {
     #[test]
     fn spawned_tasks_enter_the_shards_and_commit() {
         let n = 10;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = SpawnChain { store: &store };
         let ex = Executor::new(&op, &space, exec_cfg(4));
         let mut ws = WorkSet::from_vec(vec![n - 1]);
@@ -797,10 +775,7 @@ mod tests {
     fn wedged_task_does_not_stall_other_workers() {
         let n = 128;
         let batch = 16;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = WedgedOp {
             store: &store,
             progress: AtomicUsize::new(0),
@@ -830,24 +805,13 @@ mod tests {
         assert!(store.snapshot().iter().all(|&v| v == 1));
     }
 
-    /// Operator that always loses: every execution reports a
-    /// conflict, so no window ever commits anything.
-    struct AlwaysConflict;
-
-    impl Operator for AlwaysConflict {
-        type Task = usize;
-        fn execute(&self, _t: &usize, _cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-            Err(Abort::Conflict { lock: 0 })
-        }
-    }
-
     #[test]
     fn zero_commit_watchdog_clamps_budget_to_one() {
         let n = 64;
         let mut b = LockSpace::builder();
         let _ = b.region(1);
         let space = b.build();
-        let op = AlwaysConflict;
+        let op = NeverOp;
         let ex = Executor::new(&op, &space, exec_cfg(2));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
         let mut ctl = FixedController::new(64);
@@ -885,10 +849,7 @@ mod tests {
     fn placed_run_drains_and_respects_affinity() {
         let n = 256;
         let workers = 4;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let ex = Executor::new(&op, &space, exec_cfg(workers));
         let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
@@ -941,10 +902,7 @@ mod tests {
     fn pipelined_dead_letter_bounds_poison_launches() {
         let n = 64;
         let k_budget = 3u32;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = PoisonOne {
             store: &store,
             poison: 5,
@@ -1027,10 +985,7 @@ mod tests {
     #[test]
     fn phase_clock_accumulates_pipelined_phases() {
         let n = 256;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = RingOp { store: &store, n };
         let clock = crate::phase::PhaseClock::new();
         let mut ex = Executor::new(&op, &space, exec_cfg(4));
@@ -1061,10 +1016,7 @@ mod tests {
     #[test]
     fn pipelined_contains_operator_panics() {
         let n = 64;
-        let mut b = LockSpace::builder();
-        let r = b.region(n);
-        let space = b.build();
-        let store = SpecStore::filled(r, n, 0i64);
+        let (space, store) = ring_store(n);
         let op = PanicOnceOp {
             store: &store,
             n,
@@ -1117,10 +1069,7 @@ mod tests {
 
     #[test]
     fn hotspot_contention_no_leaks() {
-        let mut b = LockSpace::builder();
-        let r = b.region(1);
-        let space = b.build();
-        let store = SpecStore::filled(r, 1, 0i64);
+        let (space, store) = ring_store(1);
         let op = HotSpot { store: &store };
         let ex = Executor::new(&op, &space, exec_cfg(4));
         let n = 200;

@@ -11,6 +11,12 @@
 //! in-flight budget, so a conflict-heavy tenant cannot starve the
 //! others.
 //!
+//! A drive runs the executor's one round loop (the loop behind
+//! [`Executor::run_with_controller`](crate::exec::Executor::run_with_controller))
+//! on one executor per drive, through a per-round hook: stop on cancel
+//! or deadline, cap at the budget slice, book the round. Executor knobs
+//! the service does not expose take the executor defaults.
+//!
 //! Robustness is the point, not throughput:
 //!
 //! * **Admission control** — [`JobService::submit`] sheds load with a
@@ -49,11 +55,12 @@
 //! phase module), no slice indexing, and all OS threads are scoped or
 //! come from the pool.
 
-use crate::exec::{Executor, ExecutorConfig, Watchdog, WorkSet};
+use crate::exec::{Executor, ExecutorConfig, RoundHook, WorkSet};
 use crate::faults::{panic_detail, recover, DeadLetter, TaskFault};
-use crate::lock::{ConflictPolicy, LockSpace};
+use crate::lock::LockSpace;
 use crate::phase::{Deadline, Stopwatch};
 use crate::pool::WorkerPool;
+use crate::stats::RoundStats;
 use crate::task::Operator;
 use optpar_core::control::Controller;
 use rand::Rng;
@@ -62,6 +69,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
+
+/// EWMA smoothing factor for the service-wide pressure ratio.
+const PRESSURE_ALPHA: f64 = 0.2;
+
+/// Hard cap on rounds per drive: a drive that reaches it with work
+/// pending fails with [`JobError::RoundsExhausted`] instead of looping
+/// forever.
+const MAX_ROUNDS: usize = 100_000;
 
 /// Deterministic service-level fault injection (feature `faults`):
 /// each drive of each job gets its own
@@ -118,9 +133,6 @@ pub struct ServiceConfig {
     /// while the service is idle, so a reading stranded above the
     /// watermark by a drained abort storm decays back under it.
     pub admit_watermark: f64,
-    /// EWMA smoothing factor in `(0, 1]` for the service-wide
-    /// pressure ratio.
-    pub pressure_alpha: f64,
     /// Re-runs granted to a job that fails with
     /// [`JobError::FaultBudgetExhausted`] (total attempts = this + 1).
     pub job_retries: u32,
@@ -130,17 +142,6 @@ pub struct ServiceConfig {
     /// Per-task dead-letter budget `K` forwarded to
     /// [`ExecutorConfig::dead_letter_budget`].
     pub dead_letter_budget: u32,
-    /// Per-task abort-aging budget forwarded to
-    /// [`ExecutorConfig::retry_budget`].
-    pub retry_budget: u32,
-    /// Zero-commit stall threshold forwarded to the per-job watchdog
-    /// (mirrors [`ExecutorConfig::watchdog_stall`]).
-    pub watchdog_stall: u32,
-    /// Conflict arbitration policy for every job's rounds.
-    pub policy: ConflictPolicy,
-    /// Hard cap on rounds per drive; exceeding it fails the job with
-    /// [`JobError::RoundsExhausted`] instead of looping forever.
-    pub max_rounds: usize,
     /// How long a busy lane may go without a round heartbeat before
     /// the supervisor declares it wedged and detaches it.
     pub wedge_grace: Duration,
@@ -149,8 +150,6 @@ pub struct ServiceConfig {
     /// Timeout handed to [`WorkerPool::shutdown`] when retiring a
     /// wedged pool (and at final teardown).
     pub detach_timeout: Duration,
-    /// Undrained-entry bound for each round executor's fault log.
-    pub fault_log_cap: usize,
     /// Service-level chaos injection (feature `faults`); `None` runs
     /// clean.
     #[cfg(feature = "faults")]
@@ -170,18 +169,12 @@ impl Default for ServiceConfig {
             queue_cap: 16,
             global_budget: 256,
             admit_watermark: 0.95,
-            pressure_alpha: 0.2,
             job_retries: 2,
             retry_backoff: Duration::from_millis(10),
             dead_letter_budget: 16,
-            retry_budget: 8,
-            watchdog_stall: 4,
-            policy: ConflictPolicy::FirstWins,
-            max_rounds: 100_000,
             wedge_grace: Duration::from_secs(2),
             wedge_poll: Duration::from_millis(20),
             detach_timeout: Duration::from_millis(250),
-            fault_log_cap: crate::faults::DEFAULT_FAULT_LOG_CAP,
             #[cfg(feature = "faults")]
             chaos: None,
             #[cfg(feature = "obs")]
@@ -245,8 +238,8 @@ pub enum JobError {
     /// The supervisor detached this job after its round heartbeat
     /// went quiet for [`ServiceConfig::wedge_grace`].
     Wedged,
-    /// A drive exceeded [`ServiceConfig::max_rounds`] with work still
-    /// pending.
+    /// A drive ran the per-drive round cap (100,000 rounds) with work
+    /// still pending.
     RoundsExhausted {
         /// Work-set entries still pending at the cap.
         remaining: usize,
@@ -374,11 +367,6 @@ impl JobTicket {
             Ok(report) => report,
             Err(_) => JobReport::synthetic(self.id, String::new(), Err(JobError::ServiceClosed)),
         }
-    }
-
-    /// Non-blocking poll for the report.
-    pub fn try_wait(&self) -> Option<JobReport> {
-        self.rx.try_recv().ok()
     }
 }
 
@@ -514,21 +502,18 @@ struct LaneState {
     current: Mutex<Option<CurrentJob>>,
 }
 
-impl LaneState {
-    fn new() -> Self {
-        LaneState {
-            beat: AtomicU64::new(0),
-            current: Mutex::new(None),
-        }
-    }
-}
-
 /// Shared service state: one per [`serve`] call.
 struct Shared {
     cfg: ServiceConfig,
+    /// Every drive's executor configuration: the executor defaults
+    /// (first-wins arbitration, aging budget 8, watchdog threshold 4)
+    /// with the service's dead-letter budget. The worker count comes
+    /// from the pool.
+    exec_cfg: ExecutorConfig,
     /// The current worker pool. Swapped wholesale by the supervisor
-    /// when a wedged job must be retired; jobs clone the `Arc` per
-    /// round, so a swap takes effect at every job's next round.
+    /// when a wedged job must be retired; each drive's executor reads
+    /// it at every round, so a swap takes effect at every job's next
+    /// round.
     pool: Mutex<Arc<WorkerPool>>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
@@ -540,20 +525,9 @@ struct Shared {
     active_prio: AtomicU64,
     /// Jobs popped from the queue whose report has not been sent yet.
     busy: AtomicU64,
-    admitted: AtomicU64,
-    rejected_backpressure: AtomicU64,
-    rejected_overload: AtomicU64,
-    rejected_expired: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled_jobs: AtomicU64,
-    deadline_misses: AtomicU64,
-    job_retries: AtomicU64,
-    wedges: AtomicU64,
-    pool_swaps: AtomicU64,
-    detached_workers: AtomicU64,
-    /// `job_panics` accumulated from pools retired by wedge swaps.
-    retired_panics: AtomicU64,
+    /// The job and pool counters, booked by the `note_*` helpers;
+    /// the teardown fields are filled in by [`serve`].
+    stats: Mutex<ServiceStats>,
     #[cfg(feature = "obs")]
     recorder: Option<optpar_obs::Recorder>,
 }
@@ -565,6 +539,10 @@ impl Shared {
             .obs
             .then(|| optpar_obs::Recorder::new(1, optpar_obs::ObsConfig::default()));
         Shared {
+            exec_cfg: ExecutorConfig {
+                dead_letter_budget: cfg.dead_letter_budget,
+                ..ExecutorConfig::default()
+            },
             pool: Mutex::new(Arc::new(WorkerPool::new(cfg.workers))),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -573,19 +551,7 @@ impl Shared {
             pressure_bits: AtomicU64::new(0.0f64.to_bits()),
             active_prio: AtomicU64::new(0),
             busy: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            rejected_backpressure: AtomicU64::new(0),
-            rejected_overload: AtomicU64::new(0),
-            rejected_expired: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled_jobs: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            job_retries: AtomicU64::new(0),
-            wedges: AtomicU64::new(0),
-            pool_swaps: AtomicU64::new(0),
-            detached_workers: AtomicU64::new(0),
-            retired_panics: AtomicU64::new(0),
+            stats: Mutex::new(ServiceStats::default()),
             #[cfg(feature = "obs")]
             recorder,
             cfg,
@@ -599,11 +565,10 @@ impl Shared {
     /// Fold one round's pressure ratio into the service-wide EWMA
     /// (lock-free CAS loop; contention is per round, not per task).
     fn observe_pressure(&self, sample: f64) {
-        let alpha = self.cfg.pressure_alpha;
         let mut cur = self.pressure_bits.load(Ordering::Acquire);
         loop {
             let old = f64::from_bits(cur);
-            let next = old + alpha * (sample - old);
+            let next = old + PRESSURE_ALPHA * (sample - old);
             match self.pressure_bits.compare_exchange(
                 cur,
                 next.to_bits(),
@@ -617,7 +582,7 @@ impl Shared {
     }
 
     fn note_admit(&self, id: u64, priority: u64) {
-        self.admitted.fetch_add(1, Ordering::AcqRel);
+        recover(self.stats.lock()).admitted += 1;
         #[cfg(feature = "obs")]
         if let Some(rec) = self.recorder.as_ref() {
             rec.job_admit(id, priority);
@@ -627,12 +592,14 @@ impl Shared {
     }
 
     fn note_reject(&self, id: u64, why: Rejection) {
-        match why {
-            Rejection::Backpressure => &self.rejected_backpressure,
-            Rejection::Overload => &self.rejected_overload,
-            Rejection::Expired => &self.rejected_expired,
+        {
+            let mut st = recover(self.stats.lock());
+            *match why {
+                Rejection::Backpressure => &mut st.rejected_backpressure,
+                Rejection::Overload => &mut st.rejected_overload,
+                Rejection::Expired => &mut st.rejected_expired,
+            } += 1;
         }
-        .fetch_add(1, Ordering::AcqRel);
         #[cfg(feature = "obs")]
         if let Some(rec) = self.recorder.as_ref() {
             rec.job_reject(id, why.code());
@@ -642,7 +609,7 @@ impl Shared {
     }
 
     fn note_retry(&self, id: u64, attempt: u32) {
-        self.job_retries.fetch_add(1, Ordering::AcqRel);
+        recover(self.stats.lock()).job_retries += 1;
         #[cfg(feature = "obs")]
         if let Some(rec) = self.recorder.as_ref() {
             rec.job_retry(id, attempt);
@@ -651,66 +618,43 @@ impl Shared {
         let _ = (id, attempt);
     }
 
+    /// Book a wedge detach: one pool swap, the workers the retired
+    /// pool's shutdown had to detach, and its job panics.
+    fn note_swap(&self, detached: usize, retired_panics: u64) {
+        let mut st = recover(self.stats.lock());
+        st.wedges += 1;
+        st.pool_swaps += 1;
+        st.detached_workers += detached as u64;
+        st.worker_panics += retired_panics;
+    }
+
     /// Book a finished job's outcome into the counters (and the obs
     /// log for the cancel/deadline terminals).
     fn note_finish(&self, id: u64, result: &Result<JobOutput, JobError>) {
-        match result {
-            Ok(_) => {
-                self.completed.fetch_add(1, Ordering::AcqRel);
-            }
-            Err(e) => {
-                self.failed.fetch_add(1, Ordering::AcqRel);
-                match e {
-                    JobError::Cancelled | JobError::Wedged => {
-                        if matches!(e, JobError::Cancelled) {
-                            self.cancelled_jobs.fetch_add(1, Ordering::AcqRel);
-                        }
-                        #[cfg(feature = "obs")]
-                        if let Some(rec) = self.recorder.as_ref() {
-                            rec.job_cancel(id);
-                        }
+        {
+            let mut st = recover(self.stats.lock());
+            match result {
+                Ok(_) => st.completed += 1,
+                Err(e) => {
+                    st.failed += 1;
+                    match e {
+                        JobError::Cancelled => st.cancelled_jobs += 1,
+                        JobError::DeadlineExceeded => st.deadline_misses += 1,
+                        _ => {}
                     }
-                    JobError::DeadlineExceeded => {
-                        self.deadline_misses.fetch_add(1, Ordering::AcqRel);
-                        #[cfg(feature = "obs")]
-                        if let Some(rec) = self.recorder.as_ref() {
-                            rec.job_deadline(id);
-                        }
-                    }
-                    _ => {}
                 }
+            }
+        }
+        #[cfg(feature = "obs")]
+        if let Some(rec) = self.recorder.as_ref() {
+            match result {
+                Err(JobError::Cancelled | JobError::Wedged) => rec.job_cancel(id),
+                Err(JobError::DeadlineExceeded) => rec.job_deadline(id),
+                _ => {}
             }
         }
         #[cfg(not(feature = "obs"))]
         let _ = id;
-    }
-
-    fn stats(
-        &self,
-        live_workers: usize,
-        worker_panics: u64,
-        final_detached: usize,
-    ) -> ServiceStats {
-        ServiceStats {
-            admitted: self.admitted.load(Ordering::Acquire),
-            rejected_backpressure: self.rejected_backpressure.load(Ordering::Acquire),
-            rejected_overload: self.rejected_overload.load(Ordering::Acquire),
-            rejected_expired: self.rejected_expired.load(Ordering::Acquire),
-            completed: self.completed.load(Ordering::Acquire),
-            failed: self.failed.load(Ordering::Acquire),
-            cancelled_jobs: self.cancelled_jobs.load(Ordering::Acquire),
-            deadline_misses: self.deadline_misses.load(Ordering::Acquire),
-            job_retries: self.job_retries.load(Ordering::Acquire),
-            wedges: self.wedges.load(Ordering::Acquire),
-            pool_swaps: self.pool_swaps.load(Ordering::Acquire),
-            detached_workers: self.detached_workers.load(Ordering::Acquire),
-            worker_panics,
-            live_workers,
-            final_detached,
-            pressure: self.pressure(),
-            #[cfg(feature = "obs")]
-            obs_log: self.recorder.as_ref().map(|rec| rec.take_log()),
-        }
     }
 }
 
@@ -783,21 +727,6 @@ impl JobService<'_> {
     }
 }
 
-/// Per-attempt/job accumulators threaded through [`JobCx`] into the
-/// final [`JobReport`].
-#[derive(Default)]
-struct JobAccum {
-    drives: u32,
-    rounds: usize,
-    committed: usize,
-    aborted: usize,
-    faulted: usize,
-    faults: Vec<(u32, TaskFault)>,
-    dead_letters: Vec<(u32, DeadLetter)>,
-    #[cfg(feature = "faults")]
-    injected: Vec<(u32, crate::faults::FaultRecord)>,
-}
-
 /// Execution context handed to the job closure: cancellation and
 /// deadline visibility, the heartbeat, and [`JobCx::drive`] — the
 /// only way a job reaches the shared pool.
@@ -809,7 +738,11 @@ pub struct JobCx<'s> {
     job_id: u64,
     priority: u64,
     attempt: u32,
-    acc: JobAccum,
+    /// Drives started across all attempts (tags faults, seeds chaos).
+    drives: u32,
+    /// The job's report, accumulating rounds, counts, faults and dead
+    /// letters across attempts and drives.
+    report: JobReport,
 }
 
 impl std::fmt::Debug for JobCx<'_> {
@@ -817,7 +750,7 @@ impl std::fmt::Debug for JobCx<'_> {
         f.debug_struct("JobCx")
             .field("job_id", &self.job_id)
             .field("attempt", &self.attempt)
-            .field("drives", &self.acc.drives)
+            .field("drives", &self.drives)
             .finish_non_exhaustive()
     }
 }
@@ -857,17 +790,13 @@ impl JobCx<'_> {
     /// (cancellation, deadline, dead letters, round cap) ends the
     /// drive.
     ///
-    /// Each round builds a short-lived [`Executor`] borrowing the
-    /// *current* pool, so a supervisor pool swap is picked up at the
-    /// next round. A round that loses that race — publishing to a
-    /// pool the supervisor retired right after the clone — is not
-    /// lost and cannot hang: [`WorkerPool::run`] refuses retired
-    /// pools, the executor drains the batch inline, and the next
-    /// round rebinds to the replacement pool. The round's `m` is the
-    /// controller's allocation
-    /// clamped to this job's priority share of
-    /// [`ServiceConfig::global_budget`]. Stops happen only at round
-    /// boundaries, where no locks or tasks are in flight — the
+    /// The drive's one [`Executor`] reads the service's *current* pool
+    /// at every round, so a supervisor pool swap is picked up at the
+    /// next round; a round that raced the swap drains inline, since
+    /// [`WorkerPool::run`] refuses retired pools. The round's `m` is
+    /// the controller step's allocation clamped to this job's priority
+    /// share of [`ServiceConfig::global_budget`]. Stops happen only at
+    /// round boundaries, where no locks or tasks are in flight — the
     /// abort-equivalent rollback the service promises.
     pub fn drive<O: Operator, C: Controller, R: Rng + ?Sized>(
         &mut self,
@@ -877,8 +806,8 @@ impl JobCx<'_> {
         ctl: &mut C,
         rng: &mut R,
     ) -> Result<(), JobError> {
-        self.acc.drives = self.acc.drives.saturating_add(1);
-        let drive = self.acc.drives;
+        self.drives = self.drives.saturating_add(1);
+        let drive = self.drives;
         #[cfg(feature = "faults")]
         let plan = self.shared.cfg.chaos.map(|c| {
             crate::faults::FaultPlan::seeded(chaos_seed(c.seed, self.job_id, u64::from(drive)))
@@ -886,78 +815,38 @@ impl JobCx<'_> {
                 .with_spurious_abort_rate(c.spurious_rate)
                 .with_delay_rate(c.delay_rate, c.delay_spins)
         });
-        let mut watchdog = Watchdog::new(self.shared.cfg.watchdog_stall);
-        let mut rounds_this_drive: usize = 0;
-        let mut dead_this_drive: usize = 0;
-        let result = loop {
-            if ws.is_empty() {
-                break Ok(());
-            }
-            if rounds_this_drive >= self.shared.cfg.max_rounds {
-                break Err(JobError::RoundsExhausted {
-                    remaining: ws.len(),
-                });
-            }
-            if self.cancelled() {
-                break Err(JobError::Cancelled);
-            }
-            if self.deadline_expired() {
-                break Err(JobError::DeadlineExceeded);
-            }
-            let m = watchdog
-                .clamp(ctl.current_m())
-                .min(self.budget_slice())
-                .max(1);
-            let pool = { recover(self.shared.pool.lock()).clone() };
-            let cfg = &self.shared.cfg;
-            let ecfg = ExecutorConfig {
-                workers: pool.workers(),
-                policy: cfg.policy,
-                retry_budget: cfg.retry_budget,
-                watchdog_stall: cfg.watchdog_stall,
-                dead_letter_budget: cfg.dead_letter_budget,
-            };
-            #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
-            let mut ex = Executor::with_pool(op, space, ecfg, &pool);
-            let _ = ex.set_fault_log_capacity(cfg.fault_log_cap);
-            #[cfg(feature = "faults")]
-            if let Some(p) = plan.as_ref() {
-                ex.set_fault_plan(p);
-            }
-            let rs = ex.run_round(ws, m, rng);
-            rounds_this_drive += 1;
-            self.acc.rounds += 1;
-            self.acc.committed += rs.committed;
-            self.acc.aborted += rs.aborted;
-            self.acc.faulted += rs.faulted;
-            dead_this_drive += rs.dead_lettered;
-            for fault in ex.take_faults() {
-                self.acc.faults.push((drive, fault));
-            }
-            for dl in ex.take_dead_letters() {
-                self.acc.dead_letters.push((drive, dl));
-            }
-            watchdog.observe(rs.launched, rs.committed);
-            ctl.observe(rs.pressure_ratio(), rs.launched);
-            if rs.launched > 0 {
-                self.shared.observe_pressure(rs.pressure_ratio());
-            }
-            self.lane_beat.fetch_add(1, Ordering::AcqRel);
-        };
+        let shared = self.shared;
+        #[cfg_attr(not(feature = "faults"), allow(unused_mut))]
+        let mut ex = Executor::with_pool(op, space, shared.exec_cfg, &shared.pool);
+        #[cfg(feature = "faults")]
+        if let Some(p) = plan.as_ref() {
+            ex.set_fault_plan(p);
+        }
+        let stopped = ex.drive_rounds(ws, ctl, MAX_ROUNDS, rng, self);
         #[cfg(feature = "faults")]
         if let Some(p) = plan.as_ref() {
             for rec in p.fired() {
-                self.acc.injected.push((drive, rec));
+                self.report.injected.push((drive, rec));
             }
         }
         // A stop at a round boundary holds nothing in flight.
         debug_assert!(space.check_all_free().is_ok());
-        if result.is_ok() && dead_this_drive > 0 {
-            return Err(JobError::FaultBudgetExhausted {
-                dead_letters: dead_this_drive,
+        stopped?;
+        if !ws.is_empty() {
+            return Err(JobError::RoundsExhausted {
+                remaining: ws.len(),
             });
         }
-        result
+        let dead_letters = self
+            .report
+            .dead_letters
+            .iter()
+            .filter(|(d, _)| *d == drive)
+            .count();
+        if dead_letters > 0 {
+            return Err(JobError::FaultBudgetExhausted { dead_letters });
+        }
+        Ok(())
     }
 
     /// This job's slice of the global in-flight budget: proportional
@@ -967,6 +856,44 @@ impl JobCx<'_> {
         let total = self.shared.active_prio.load(Ordering::Acquire).max(1);
         let share = (self.shared.cfg.global_budget as u64).saturating_mul(self.priority) / total;
         usize::try_from(share).unwrap_or(usize::MAX).max(1)
+    }
+}
+
+/// The service's hook into the round loop: stops at cancellation or
+/// deadline, caps each round at the job's budget slice, and books every
+/// round into the job's accumulators (faults and dead letters tagged
+/// with the drive, drained each round so the executor's bounded fault
+/// log never fills), the pressure EWMA and the lane heartbeat.
+impl RoundHook for JobCx<'_> {
+    type Stop = JobError;
+
+    fn boundary(&mut self) -> Result<usize, JobError> {
+        if self.cancelled() {
+            return Err(JobError::Cancelled);
+        }
+        if self.deadline_expired() {
+            return Err(JobError::DeadlineExceeded);
+        }
+        Ok(self.budget_slice())
+    }
+
+    fn book<O: Operator>(&mut self, ex: &Executor<'_, O>, rs: RoundStats) {
+        let drive = self.drives;
+        let report = &mut self.report;
+        report.rounds += 1;
+        report.committed += rs.committed;
+        report.aborted += rs.aborted;
+        report.faulted += rs.faulted;
+        report
+            .faults
+            .extend(ex.take_faults().into_iter().map(|f| (drive, f)));
+        report
+            .dead_letters
+            .extend(ex.take_dead_letters().into_iter().map(|d| (drive, d)));
+        if rs.launched > 0 {
+            self.shared.observe_pressure(rs.pressure_ratio());
+        }
+        self.heartbeat();
     }
 }
 
@@ -992,12 +919,13 @@ pub fn serve<T>(cfg: ServiceConfig, body: impl FnOnce(&JobService<'_>) -> T) -> 
     assert!(cfg.workers >= 1, "service needs at least one worker");
     assert!(cfg.lanes >= 1, "service needs at least one lane");
     assert!(cfg.queue_cap >= 1, "queue capacity must be at least 1");
-    assert!(
-        cfg.pressure_alpha > 0.0 && cfg.pressure_alpha <= 1.0,
-        "pressure_alpha must be in (0, 1]"
-    );
     let shared = Shared::new(cfg);
-    let lanes: Vec<LaneState> = (0..shared.cfg.lanes).map(|_| LaneState::new()).collect();
+    let lanes: Vec<LaneState> = (0..shared.cfg.lanes)
+        .map(|_| LaneState {
+            beat: AtomicU64::new(0),
+            current: Mutex::new(None),
+        })
+        .collect();
     let out = std::thread::scope(|s| {
         for lane in &lanes {
             let shared = &shared;
@@ -1038,10 +966,15 @@ pub fn serve<T>(cfg: ServiceConfig, body: impl FnOnce(&JobService<'_>) -> T) -> 
         ));
     }
     let pool = { recover(shared.pool.lock()).clone() };
-    let live_workers = pool.live_workers();
-    let worker_panics = shared.retired_panics.load(Ordering::Acquire) + pool.job_panics();
-    let final_detached = pool.shutdown(shared.cfg.detach_timeout).len();
-    let stats = shared.stats(live_workers, worker_panics, final_detached);
+    let mut stats = std::mem::take(&mut *recover(shared.stats.lock()));
+    stats.live_workers = pool.live_workers();
+    stats.worker_panics += pool.job_panics();
+    stats.final_detached = pool.shutdown(shared.cfg.detach_timeout).len();
+    stats.pressure = shared.pressure();
+    #[cfg(feature = "obs")]
+    {
+        stats.obs_log = shared.recorder.as_ref().map(|rec| rec.take_log());
+    }
     (out, stats)
 }
 
@@ -1111,22 +1044,22 @@ fn execute_job(shared: &Shared, lane: &LaneState, q: QueuedJob) {
     });
     lane.beat.fetch_add(1, Ordering::AcqRel);
 
-    let mut acc = JobAccum::default();
-    let mut attempt: u32 = 0;
+    let mut cx = JobCx {
+        shared,
+        lane_beat: &lane.beat,
+        cancel: &cancel,
+        deadline,
+        job_id: id,
+        priority,
+        attempt: 0,
+        drives: 0,
+        // The result is set once the attempts end.
+        report: JobReport::synthetic(id, name, Err(JobError::ServiceClosed)),
+    };
     let result = loop {
-        attempt += 1;
-        let mut cx = JobCx {
-            shared,
-            lane_beat: &lane.beat,
-            cancel: &cancel,
-            deadline,
-            job_id: id,
-            priority,
-            attempt,
-            acc: std::mem::take(&mut acc),
-        };
+        cx.attempt += 1;
+        let attempt = cx.attempt;
         let outcome = catch_unwind(AssertUnwindSafe(|| (job)(&mut cx)));
-        acc = std::mem::take(&mut cx.acc);
         match outcome {
             Ok(Ok(output)) => break Ok(output),
             Ok(Err(JobError::FaultBudgetExhausted { .. }))
@@ -1154,19 +1087,10 @@ fn execute_job(shared: &Shared, lane: &LaneState, q: QueuedJob) {
     if let Some(cur) = recover(lane.current.lock()).take() {
         shared.note_finish(id, &result);
         let report = JobReport {
-            id,
-            name: cur.name,
             result,
-            attempts: attempt,
-            rounds: acc.rounds,
-            committed: acc.committed,
-            aborted: acc.aborted,
-            faulted: acc.faulted,
-            dead_letters: acc.dead_letters,
-            faults: acc.faults,
-            #[cfg(feature = "faults")]
-            injected: acc.injected,
+            attempts: cx.attempt,
             latency: queued_at.elapsed(),
+            ..cx.report
         };
         let _ = cur.tx.send(report);
         shared.active_prio.fetch_sub(priority, Ordering::AcqRel);
@@ -1248,14 +1172,7 @@ fn detach_wedged(shared: &Shared, lane: &LaneState) {
     let fresh = Arc::new(WorkerPool::new(shared.cfg.workers));
     let old = std::mem::replace(&mut *recover(shared.pool.lock()), fresh);
     let detached = old.shutdown(shared.cfg.detach_timeout);
-    shared
-        .detached_workers
-        .fetch_add(detached.len() as u64, Ordering::AcqRel);
-    shared
-        .retired_panics
-        .fetch_add(old.job_panics(), Ordering::AcqRel);
-    shared.wedges.fetch_add(1, Ordering::AcqRel);
-    shared.pool_swaps.fetch_add(1, Ordering::AcqRel);
+    shared.note_swap(detached.len(), old.job_panics());
     let result = Err(JobError::Wedged);
     shared.note_finish(cur.id, &result);
     let _ = cur.tx.send(JobReport::synthetic(cur.id, cur.name, result));
@@ -1268,7 +1185,7 @@ fn detach_wedged(shared: &Shared, lane: &LaneState) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::tests::RingOp;
+    use crate::exec::tests::{ring_store, NeverOp, RingOp};
     use crate::store::SpecStore;
     use crate::task::{Abort, TaskCtx};
     use optpar_core::control::FixedController;
@@ -1278,12 +1195,9 @@ mod tests {
     /// A complete ring job: builds everything inside the closure so it
     /// is `'static`, drives, and verifies the invariant (sum == 0 and
     /// all n tasks committed) against the sequential reference.
-    fn ring_job(n: usize, seed: u64) -> JobFn {
-        Box::new(move |cx: &mut JobCx<'_>| {
-            let mut b = LockSpace::builder();
-            let r = b.region(n);
-            let space = b.build();
-            let store = SpecStore::filled(r, n, 0i64);
+    fn ring_job(name: impl Into<String>, n: usize, seed: u64) -> JobSpec {
+        JobSpec::new(name, move |cx: &mut JobCx<'_>| {
+            let (space, store) = ring_store(n);
             let op = RingOp { store: &store, n };
             let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
             let mut ctl = FixedController::new(8);
@@ -1311,7 +1225,7 @@ mod tests {
     #[test]
     fn clean_job_completes_and_verifies() {
         let ((), stats) = serve(quick_cfg(), |svc| {
-            let ticket = svc.submit(JobSpec::new("ring", ring_job(64, 7))).unwrap();
+            let ticket = svc.submit(ring_job("ring", 64, 7)).unwrap();
             let report = ticket.wait();
             let out = report.result.expect("job must succeed");
             assert!(out.verified, "speculative result matches reference");
@@ -1337,7 +1251,7 @@ mod tests {
         let ((), stats) = serve(cfg, |svc| {
             let tickets: Vec<JobTicket> = (0..8)
                 .map(|i| {
-                    svc.submit(JobSpec::new(format!("ring-{i}"), ring_job(32, 100 + i)))
+                    svc.submit(ring_job(format!("ring-{i}"), 32, 100 + i))
                         .expect("admission")
                 })
                 .collect();
@@ -1358,7 +1272,7 @@ mod tests {
         };
         let ((), stats) = serve(cfg, |svc| {
             let err = svc
-                .submit(JobSpec::new("shed", ring_job(8, 1)))
+                .submit(ring_job("shed", 8, 1))
                 .expect_err("watermark must shed");
             assert_eq!(err, Rejection::Overload);
             assert_eq!(err.code(), 2);
@@ -1371,11 +1285,62 @@ mod tests {
     fn zero_deadline_is_rejected_expired() {
         let ((), stats) = serve(quick_cfg(), |svc| {
             let err = svc
-                .submit(JobSpec::new("late", ring_job(8, 1)).deadline(Duration::ZERO))
+                .submit(ring_job("late", 8, 1).deadline(Duration::ZERO))
                 .expect_err("zero deadline never runs");
             assert_eq!(err, Rejection::Expired);
         });
         assert_eq!(stats.rejected_expired, 1);
+    }
+
+    /// A trivially verified job output.
+    fn done() -> Result<JobOutput, JobError> {
+        Ok(JobOutput {
+            verified: true,
+            committed: 0,
+            detail: String::new(),
+        })
+    }
+
+    /// A job that heartbeats until `release` is set.
+    fn blocker_job(release: Arc<AtomicBool>) -> JobSpec {
+        JobSpec::new("blocker", move |cx: &mut JobCx<'_>| {
+            while !release.load(Ordering::Acquire) {
+                cx.heartbeat();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            done()
+        })
+    }
+
+    /// A job that never beats and spins until the service cancels it
+    /// (which the wedge detach does), so teardown is not blocked.
+    fn wedge_job() -> JobSpec {
+        JobSpec::new("wedge", |cx: &mut JobCx<'_>| {
+            while !cx.cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(JobError::Cancelled)
+        })
+    }
+
+    /// Drive `tasks` of `op` over a fresh `slots`-slot lock space at a
+    /// fixed allocation `m`.
+    fn drive_fixed<O: Operator<Task = usize>>(
+        cx: &mut JobCx<'_>,
+        op: &O,
+        slots: usize,
+        tasks: Vec<usize>,
+        m: usize,
+        seed: u64,
+    ) -> Result<JobOutput, JobError> {
+        let mut b = LockSpace::builder();
+        let _r = b.region(slots);
+        let space = b.build();
+        let mut ws = WorkSet::from_vec(tasks);
+        let mut ctl = FixedController::new(m);
+        let mut rng = StdRng::seed_from_u64(seed);
+        cx.drive(op, &space, &mut ws, &mut ctl, &mut rng)?;
+        done()
     }
 
     #[test]
@@ -1388,20 +1353,9 @@ mod tests {
             ..quick_cfg()
         };
         let release = Arc::new(AtomicBool::new(false));
-        let blocker_release = Arc::clone(&release);
-        let ((), stats) = serve(cfg, move |svc| {
+        let ((), stats) = serve(cfg, |svc| {
             let blocker = svc
-                .submit(JobSpec::new("blocker", move |cx: &mut JobCx<'_>| {
-                    while !blocker_release.load(Ordering::Acquire) {
-                        cx.heartbeat();
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Ok(JobOutput {
-                        verified: true,
-                        committed: 0,
-                        detail: String::new(),
-                    })
-                }))
+                .submit(blocker_job(Arc::clone(&release)))
                 .expect("blocker admitted");
             // Wait until the lane has actually picked the blocker up,
             // so the queue is empty again.
@@ -1409,10 +1363,10 @@ mod tests {
                 std::thread::yield_now();
             }
             let queued = svc
-                .submit(JobSpec::new("queued", ring_job(8, 2)))
+                .submit(ring_job("queued", 8, 2))
                 .expect("one fits the queue");
             let shed = svc
-                .submit(JobSpec::new("shed", ring_job(8, 3)))
+                .submit(ring_job("shed", 8, 3))
                 .expect_err("queue is full");
             assert_eq!(shed, Rejection::Backpressure);
             release.store(true, Ordering::Release);
@@ -1432,27 +1386,14 @@ mod tests {
             ..quick_cfg()
         };
         let release = Arc::new(AtomicBool::new(false));
-        let blocker_release = Arc::clone(&release);
-        let ((), stats) = serve(cfg, move |svc| {
+        let ((), stats) = serve(cfg, |svc| {
             let blocker = svc
-                .submit(JobSpec::new("blocker", move |cx: &mut JobCx<'_>| {
-                    while !blocker_release.load(Ordering::Acquire) {
-                        cx.heartbeat();
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Ok(JobOutput {
-                        verified: true,
-                        committed: 0,
-                        detail: String::new(),
-                    })
-                }))
+                .submit(blocker_job(Arc::clone(&release)))
                 .expect("blocker admitted");
             while svc.queue_len() > 0 {
                 std::thread::yield_now();
             }
-            let victim = svc
-                .submit(JobSpec::new("victim", ring_job(8, 4)))
-                .expect("queued");
+            let victim = svc.submit(ring_job("victim", 8, 4)).expect("queued");
             victim.cancel();
             release.store(true, Ordering::Release);
             assert!(blocker.wait().result.is_ok());
@@ -1469,13 +1410,11 @@ mod tests {
     fn deadline_stops_a_running_job_between_rounds() {
         // Endless spawner: every commit re-spawns, so only the
         // deadline can end the drive.
-        struct Endless<'s> {
-            store: &'s SpecStore<u64>,
-        }
-        impl Operator for Endless<'_> {
+        struct Endless;
+        impl Operator for Endless {
             type Task = usize;
             fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
-                *cx.write(self.store, i)? += 1;
+                cx.lock_raw(i)?;
                 Ok(vec![i])
             }
         }
@@ -1483,21 +1422,7 @@ mod tests {
             let ticket = svc
                 .submit(
                     JobSpec::new("endless", |cx: &mut JobCx<'_>| {
-                        let n = 4usize;
-                        let mut b = LockSpace::builder();
-                        let r = b.region(n);
-                        let space = b.build();
-                        let store = SpecStore::filled(r, n, 0u64);
-                        let op = Endless { store: &store };
-                        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
-                        let mut ctl = FixedController::new(4);
-                        let mut rng = StdRng::seed_from_u64(5);
-                        cx.drive(&op, &space, &mut ws, &mut ctl, &mut rng)?;
-                        Ok(JobOutput {
-                            verified: true,
-                            committed: 0,
-                            detail: String::new(),
-                        })
+                        drive_fixed(cx, &Endless, 4, (0..4).collect(), 4, 5)
                     })
                     .deadline(Duration::from_millis(40)),
                 )
@@ -1531,19 +1456,7 @@ mod tests {
         let ((), stats) = serve(cfg, |svc| {
             let ticket = svc
                 .submit(JobSpec::new("doomed", |cx: &mut JobCx<'_>| {
-                    let mut b = LockSpace::builder();
-                    let _r = b.region(1);
-                    let space = b.build();
-                    let op = PanicOp;
-                    let mut ws = WorkSet::from_vec(vec![0usize, 1, 2]);
-                    let mut ctl = FixedController::new(4);
-                    let mut rng = StdRng::seed_from_u64(6);
-                    cx.drive(&op, &space, &mut ws, &mut ctl, &mut rng)?;
-                    Ok(JobOutput {
-                        verified: true,
-                        committed: 0,
-                        detail: String::new(),
-                    })
+                    drive_fixed(cx, &PanicOp, 1, vec![0, 1, 2], 4, 6)
                 }))
                 .expect("admitted");
             let report = ticket.wait();
@@ -1569,6 +1482,27 @@ mod tests {
     }
 
     #[test]
+    fn drive_stops_at_the_round_cap() {
+        let cfg = ServiceConfig {
+            workers: 1,
+            lanes: 1,
+            ..quick_cfg()
+        };
+        let ((), _stats) = serve(cfg, |svc| {
+            let ticket = svc
+                .submit(JobSpec::new("stubborn", |cx: &mut JobCx<'_>| {
+                    drive_fixed(cx, &NeverOp, 1, vec![0], 4, 8)
+                }))
+                .expect("admitted");
+            let report = ticket.wait();
+            let remaining = 1;
+            assert_eq!(report.result, Err(JobError::RoundsExhausted { remaining }));
+            assert_eq!(report.rounds, MAX_ROUNDS);
+            assert_eq!(report.aborted, MAX_ROUNDS);
+        });
+    }
+
+    #[test]
     fn wedged_job_is_detached_and_service_keeps_serving() {
         let cfg = ServiceConfig {
             lanes: 2,
@@ -1577,23 +1511,13 @@ mod tests {
             ..quick_cfg()
         };
         let ((), stats) = serve(cfg, |svc| {
-            // Wedge: never beats, spins until the service cancels it
-            // (which the wedge detach does), so teardown is not
-            // blocked.
-            let wedge = svc
-                .submit(JobSpec::new("wedge", |cx: &mut JobCx<'_>| {
-                    while !cx.cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(JobError::Cancelled)
-                }))
-                .expect("admitted");
+            let wedge = svc.submit(wedge_job()).expect("admitted");
             let report = wedge.wait();
             assert_eq!(report.result, Err(JobError::Wedged));
             // Recovery proven, not assumed: a clean job completes on
             // the swapped-in pool.
             let clean = svc
-                .submit(JobSpec::new("after", ring_job(32, 9)))
+                .submit(ring_job("after", 32, 9))
                 .expect("admitted after wedge");
             assert!(clean.wait().result.expect("success").verified);
         });
@@ -1606,80 +1530,88 @@ mod tests {
     }
 
     #[test]
-    fn healthy_job_survives_a_pool_swap_mid_drive() {
-        // Drive rounds continuously across the wedge-detach window: a
-        // lane that cloned the old pool Arc just before the supervisor
-        // swapped it must drain that round (inline, via the
-        // PoolRetired fallback) and rebind to the fresh pool — not
-        // block forever in a rendezvous against exited workers.
+    fn drive_rebinds_to_the_swapped_in_pool() {
+        // One drive spans a wedge-detach swap. A round that read the
+        // old pool just before the swap drains inline (the PoolRetired
+        // fallback) instead of blocking against exited workers; once
+        // the swap is past, the drive's rounds must run on the fresh
+        // pool's workers, not inline on the lane thread.
+        struct Tracked<'s> {
+            store: &'s SpecStore<u64>,
+            phase: &'s AtomicU64,
+            /// Task runs per phase.
+            ran: &'s [AtomicU64; 3],
+            seen: &'s Mutex<Vec<(u64, std::thread::ThreadId)>>,
+        }
+        impl Operator for Tracked<'_> {
+            type Task = usize;
+            fn execute(&self, &i: &usize, cx: &mut TaskCtx<'_>) -> Result<Vec<usize>, Abort> {
+                *cx.write(self.store, i)? += 1;
+                let phase = self.phase.load(Ordering::Acquire);
+                recover(self.seen.lock()).push((phase, std::thread::current().id()));
+                let ran = self.ran[phase as usize].fetch_add(1, Ordering::AcqRel);
+                // Respawn until 64 tasks have run in the last phase.
+                Ok(if phase < 2 || ran < 64 {
+                    vec![i]
+                } else {
+                    vec![]
+                })
+            }
+        }
         let cfg = ServiceConfig {
-            lanes: 2,
             wedge_grace: Duration::from_millis(30),
-            wedge_poll: Duration::from_millis(5),
             detach_timeout: Duration::from_millis(50),
             ..quick_cfg()
         };
-        let stop = Arc::new(AtomicBool::new(false));
-        let job_stop = Arc::clone(&stop);
-        let ((), stats) = serve(cfg, move |svc| {
-            let wedge = svc
-                .submit(JobSpec::new("wedge", |cx: &mut JobCx<'_>| {
-                    while !cx.cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(JobError::Cancelled)
-                }))
-                .expect("admitted");
-            let healthy = svc
-                .submit(JobSpec::new("healthy", move |cx: &mut JobCx<'_>| {
-                    let mut laps = 0usize;
-                    loop {
-                        let n = 32usize;
-                        let mut b = LockSpace::builder();
-                        let r = b.region(n);
-                        let space = b.build();
-                        let store = SpecStore::filled(r, n, 0i64);
-                        let op = RingOp { store: &store, n };
-                        let mut ws = WorkSet::from_vec((0..n).collect::<Vec<_>>());
-                        let mut ctl = FixedController::new(4);
-                        let mut rng = StdRng::seed_from_u64(laps as u64);
-                        cx.drive(&op, &space, &mut ws, &mut ctl, &mut rng)?;
-                        let mut store = store;
-                        let sum: i64 = store.snapshot().iter().sum();
-                        if sum != 0 {
-                            return Ok(JobOutput {
-                                verified: false,
-                                committed: 0,
-                                detail: format!("lap {laps} sum {sum}"),
-                            });
-                        }
-                        laps += 1;
-                        if job_stop.load(Ordering::Acquire) {
-                            return Ok(JobOutput {
-                                verified: true,
-                                committed: laps,
-                                detail: String::new(),
-                            });
-                        }
-                    }
-                }))
-                .expect("admitted");
+        let phase = Arc::new(AtomicU64::new(0));
+        let ran = Arc::new([AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)]);
+        let (job_phase, job_ran) = (Arc::clone(&phase), Arc::clone(&ran));
+        let ((), stats) = serve(cfg, |svc| {
+            let wedge = svc.submit(wedge_job()).expect("admitted");
+            let tracked = JobSpec::new("tracked", move |cx: &mut JobCx<'_>| {
+                let lane = std::thread::current().id();
+                let mut b = LockSpace::builder();
+                let r = b.region(8);
+                let space = b.build();
+                let mut store = SpecStore::filled(r, 8, 0u64);
+                let seen = Mutex::new(Vec::new());
+                let op = Tracked {
+                    store: &store,
+                    phase: &job_phase,
+                    ran: &job_ran,
+                    seen: &seen,
+                };
+                let mut ws = WorkSet::from_vec((0..8).collect());
+                let mut ctl = FixedController::new(4);
+                let mut rng = StdRng::seed_from_u64(12);
+                cx.drive(&op, &space, &mut ws, &mut ctl, &mut rng)?;
+                let seen = recover(seen.lock());
+                let late: Vec<_> = seen.iter().filter(|(p, _)| *p == 2).collect();
+                Ok(JobOutput {
+                    verified: late.len() >= 64 && late.iter().all(|(_, t)| *t != lane),
+                    committed: store.snapshot().iter().sum::<u64>() as usize,
+                    detail: format!("{} tasks after the swap", late.len()),
+                })
+            });
+            let tracked = svc.submit(tracked).expect("admitted");
+            // The wedge report is sent after the swap.
             assert_eq!(wedge.wait().result, Err(JobError::Wedged));
-            // Keep the healthy job lapping on the fresh pool for a
-            // while after the swap before releasing it.
-            std::thread::sleep(Duration::from_millis(30));
-            stop.store(true, Ordering::Release);
-            let out = healthy
-                .wait()
-                .result
-                .expect("healthy job survives the swap");
-            assert!(out.verified, "every lap matched its reference");
-            assert!(out.committed > 0);
+            phase.store(1, Ordering::Release);
+            // A round runs at most m = 4 tasks, so the fifth run of
+            // phase 1 belongs to a round after any that raced the swap.
+            while ran[1].load(Ordering::Acquire) < 5 {
+                std::thread::yield_now();
+            }
+            phase.store(2, Ordering::Release);
+            let report = tracked.wait();
+            let out = report.result.expect("the drive survives the swap");
+            assert!(out.verified, "post-swap rounds ran inline: {}", out.detail);
+            // Every committed increment survived, every rolled-back one
+            // (inline fallback included) left no trace.
+            assert_eq!(out.committed, report.committed);
         });
-        assert_eq!(stats.wedges, 1);
-        assert_eq!(stats.pool_swaps, 1);
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.failed, 1);
+        assert_eq!((stats.wedges, stats.pool_swaps), (1, 1));
+        assert_eq!((stats.completed, stats.failed), (1, 1));
     }
 
     #[test]
@@ -1697,7 +1629,7 @@ mod tests {
             }
             assert!(svc.pressure() > 0.5);
             let err = svc
-                .submit(JobSpec::new("shed", ring_job(8, 1)))
+                .submit(ring_job("shed", 8, 1))
                 .expect_err("storm pressure sheds");
             assert_eq!(err, Rejection::Overload);
             // The supervisor decays the EWMA while the service idles;
@@ -1711,7 +1643,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(5));
             }
             let after = svc
-                .submit(JobSpec::new("after", ring_job(32, 2)))
+                .submit(ring_job("after", 32, 2))
                 .expect("admission recovered");
             assert!(after.wait().result.expect("success").verified);
         });
@@ -1735,11 +1667,8 @@ mod tests {
             let (tickets, stats) = serve(cfg, |svc| {
                 (0..6u64)
                     .map(|i| {
-                        svc.submit(JobSpec::new(
-                            format!("racer-{i}"),
-                            ring_job(16, round * 100 + i),
-                        ))
-                        .expect("admitted")
+                        svc.submit(ring_job(format!("racer-{i}"), 16, round * 100 + i))
+                            .expect("admitted")
                     })
                     .collect::<Vec<_>>()
             });
@@ -1766,7 +1695,7 @@ mod tests {
             let report = ticket.wait();
             assert_eq!(report.result, Err(JobError::App("closure bug".into())));
             // The lane survived; the service still works.
-            let clean = svc.submit(JobSpec::new("ok", ring_job(16, 11))).unwrap();
+            let clean = svc.submit(ring_job("ok", 16, 11)).unwrap();
             assert!(clean.wait().result.is_ok());
         });
         assert_eq!(stats.completed, 1);
@@ -1782,7 +1711,7 @@ mod tests {
         };
         let ((), _stats) = serve(cfg, |svc| {
             let t = svc
-                .submit(JobSpec::new("solo", ring_job(128, 13)).priority(3))
+                .submit(ring_job("solo", 128, 13).priority(3))
                 .expect("admitted");
             assert!(t.wait().result.expect("success").verified);
         });

@@ -372,3 +372,56 @@ fn trace_validates_under_fault_injection() {
     let mut op = op;
     assert_eq!(op.distances(), reference, "result corrupted under faults");
 }
+
+/// Never commits: every attempt asks to abort.
+struct AlwaysAbort;
+
+impl Operator for AlwaysAbort {
+    type Task = u32;
+    fn execute(&self, _: &u32, cx: &mut TaskCtx<'_>) -> Result<Vec<u32>, Abort> {
+        cx.abort_requested()
+    }
+}
+
+/// The `Controller` event carries the allocation the next round
+/// actually runs at — the controller's choice *after* the zero-commit
+/// watchdog's clamp — exactly as the pipelined window flush reports
+/// it. A run that never commits engages the watchdog after
+/// `watchdog_stall` rounds, so a fixed controller's unclamped `m`
+/// and the applied `m` part ways.
+#[test]
+fn controller_event_reports_the_applied_m() {
+    let mut b = optpar::runtime::LockSpace::builder();
+    let _ = b.region(1);
+    let space = b.build();
+    let op = AlwaysAbort;
+    let mut ex = Executor::new(&op, &space, config(1));
+    ex.enable_obs(ObsConfig::default());
+    let mut ws = WorkSet::from_vec((0..64u32).collect::<Vec<_>>());
+    let mut ctl = optpar::core::control::FixedController::new(64);
+    let mut rng = StdRng::seed_from_u64(3);
+    let run = ex.run_with_controller(&mut ws, &mut ctl, 10, &mut rng);
+    assert_eq!(run.rounds.len(), 10);
+    let log = ex.recorder().expect("recorder enabled above").snapshot();
+    let begins: Vec<u64> = log
+        .events
+        .iter()
+        .filter_map(|te| match te.event.kind {
+            EventKind::RoundBegin { m, .. } => Some(m),
+            _ => None,
+        })
+        .collect();
+    let chosen: Vec<u64> = log
+        .events
+        .iter()
+        .filter_map(|te| match te.event.kind {
+            EventKind::Controller { m, .. } => Some(m),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(begins, [64, 64, 64, 64, 32, 16, 8, 4, 2, 1]);
+    assert_eq!(chosen.len(), begins.len());
+    for (i, (c, next)) in chosen.iter().zip(&begins[1..]).enumerate() {
+        assert_eq!(c, next, "Controller event {i} vs the next RoundBegin");
+    }
+}
